@@ -58,16 +58,12 @@ from .qcore import (
     DensityOperator,
     JointState,
     MeterSetting,
-    Observable,
     PureState,
     apply_cz,
-    conditional_signal_state,
     from_knowledge,
     ket_signal,
     measure_joint,
     meter_ket,
-    s1_observable,
-    s2_observable,
     tensor,
 )
 from .stats import (
@@ -97,16 +93,12 @@ __all__ = [
     "DensityOperator",
     "JointState",
     "MeterSetting",
-    "Observable",
     "PureState",
     "apply_cz",
-    "conditional_signal_state",
     "from_knowledge",
     "ket_signal",
     "measure_joint",
     "meter_ket",
-    "s1_observable",
-    "s2_observable",
     "tensor",
     # optics
     "CENTRAL_PPBS",

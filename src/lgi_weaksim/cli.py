@@ -19,12 +19,11 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__, experiment, optics, qcore, stats
-from .errors import DegenerateConditioningError, UndefinedSignificanceError
+from .errors import UndefinedSignificanceError
 
 MANIFEST_HEADER = "# lgi-weaksim manifest v1"
 
@@ -126,24 +125,13 @@ def _sweep_table(
             theta=float(theta), meter=meter, mb_sign=mb_sign, gate_model=gate_model
         )
         table = experiment.run(config)
-        record = experiment.lg_b(config)
         # the wv column is the S1 weak value; mb_sign affects b only
-        try:
-            wv = experiment.weak_value(replace(config, mb_sign=+1)).wv
-        except DegenerateConditioningError:
-            wv = math.nan
+        est = experiment._table_estimates(table, k, mb_sign)
         angle = math.degrees(theta) if degrees else float(theta)
         rows.append(
             [_format_real(angle), _format_real(k), str(mb_sign)]
             + [_format_real(p) for p in (table.p_dd, table.p_da, table.p_ad, table.p_aa)]
-            + [
-                _format_real(record.s1_mean),
-                _format_real(record.s2_mean),
-                _format_real(record.s1s2_corr),
-                _format_real(record.b),
-                _format_real(wv),
-                _format_real(table.postselect_d),
-            ]
+            + [_format_real(v) for v in (est.s1, est.s2, est.s1s2, est.b, float(est.wv), est.psel)]
         )
     return header, rows
 
@@ -211,6 +199,11 @@ def _cmd_fig3(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error("--k-list must name at least one strength")
     for k in k_list:
         _check_strength(parser, k, flag="--k-list")
+    labels = [f"{k:g}" for k in k_list]
+    repeated = [label for label in labels if labels.count(label) > 1]
+    if repeated:
+        parser.error(f"--k-list strengths share the column label b_k{repeated[0]}; "
+                     "they must differ in 6 significant digits")
     _check_steps(parser, args.theta_steps)
     mb_sign = _sign_value(args.mb_sign)
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 
 from . import optics, qcore
 from .errors import DegenerateConditioningError, ZeroStrengthError
@@ -35,6 +35,7 @@ MIN_POSTSELECTION = 1e-12
 
 _TWO_PI = 2.0 * math.pi
 _SEARCH_GRID = 1024          # coarse grid for b_max / violation_interval
+_GRID_SPACING = _TWO_PI / _SEARCH_GRID
 _REFINE_XTOL = 1e-10         # golden-section / bisection angular resolution
 
 
@@ -231,15 +232,46 @@ def run(config: ExperimentConfig) -> ProbabilityTable:
     )
 
 
+class _Estimates(NamedTuple):
+    s1: float | np.ndarray
+    s2: float | np.ndarray
+    s1s2: float | np.ndarray
+    b: float | np.ndarray
+    psel: float | np.ndarray       # probability of post-selecting the signal in D
+    wv: float | np.ndarray         # S1 weak value on that branch; NaN if degenerate
+
+
+def _estimates(p_dd, p_da, p_ad, p_aa, knowledge: float, mb_sign: int = +1,
+               normalize_by_k: bool = True) -> _Estimates:
+    """Every estimator as a contrast of the joint probabilities, written once.
+
+    Takes floats or equal-length arrays; the caller has validated K. The
+    association of each sum is part of the CSV contract, so keep it as is.
+    """
+    s1 = ((p_dd + p_da) - (p_ad + p_aa)) / knowledge
+    s2 = (p_dd + p_ad) - (p_da + p_aa)
+    raw = p_dd - p_da - p_ad + p_aa
+    s1s2 = raw / knowledge if normalize_by_k else raw
+    b = mb_sign * s1 + mb_sign * s1s2 - s2
+    psel = p_dd + p_ad
+    wv = np.divide(p_dd - p_ad, knowledge * psel, out=np.full(np.shape(psel), np.nan),
+                   where=psel >= MIN_POSTSELECTION)
+    return _Estimates(s1, s2, s1s2, b, psel, wv)
+
+
+def _table_estimates(table: ProbabilityTable, knowledge: float, mb_sign: int = +1,
+                     normalize_by_k: bool = True) -> _Estimates:
+    return _estimates(table.p_dd, table.p_da, table.p_ad, table.p_aa, knowledge, mb_sign, normalize_by_k)
+
+
 def s1_mean(table: ProbabilityTable, knowledge: float) -> float:
     """Calibrated weak S1 estimate (P(D) - P(A))/K from the meter marginal."""
-    _require_strength(knowledge)
-    return ((table.p_dd + table.p_da) - (table.p_ad + table.p_aa)) / knowledge
+    return _table_estimates(table, _require_strength(knowledge)).s1
 
 
 def s2_mean(table: ProbabilityTable) -> float:
     """Projective S2 expectation from the signal marginal."""
-    return (table.p_dd + table.p_ad) - (table.p_da + table.p_aa)
+    return _table_estimates(table, 1.0).s2  # S2 does not involve K
 
 
 def s1s2_correlator(table: ProbabilityTable, knowledge: float, normalize_by_k: bool = True) -> float:
@@ -250,22 +282,16 @@ def s1s2_correlator(table: ProbabilityTable, knowledge: float, normalize_by_k: b
     the two differ under imperfect gates and finite counts (for the ideal
     gate both vanish identically).
     """
-    raw = table.p_dd - table.p_da - table.p_ad + table.p_aa
     if not normalize_by_k:
-        return raw
-    _require_strength(knowledge)
-    return raw / knowledge
+        return _table_estimates(table, 1.0, normalize_by_k=False).s1s2  # K unused
+    return _table_estimates(table, _require_strength(knowledge)).s1s2
 
 
 def lg_b(config: ExperimentConfig) -> LGRecord:
     """Assemble the generalized Leggett-Garg correlator for one setting."""
     knowledge = _require_strength(config.meter.knowledge)
-    table = run(config)
-    s1 = s1_mean(table, knowledge)
-    s2 = s2_mean(table)
-    s1s2 = s1s2_correlator(table, knowledge, normalize_by_k=config.correlator_norm == "k")
-    b = config.mb_sign * s1 + config.mb_sign * s1s2 - s2
-    return LGRecord(s1_mean=s1, s2_mean=s2, s1s2_corr=s1s2, b=b, mb_sign=config.mb_sign)
+    est = _table_estimates(run(config), knowledge, config.mb_sign, config.correlator_norm == "k")
+    return LGRecord(s1_mean=est.s1, s2_mean=est.s2, s1s2_corr=est.s1s2, b=est.b, mb_sign=config.mb_sign)
 
 
 def weak_value(config: ExperimentConfig, postselect: str = "D") -> WeakValueRecord:
@@ -277,40 +303,17 @@ def weak_value(config: ExperimentConfig, postselect: str = "D") -> WeakValueReco
     knowledge = _require_strength(config.meter.knowledge)
     table = run(config)
     if postselect == "D":
-        numerator, probability = table.p_dd - table.p_ad, table.postselect_d
+        est = _table_estimates(table, knowledge)
     elif postselect == "A":
-        numerator, probability = table.p_da - table.p_aa, table.postselect_a
+        # swapping the signal labels turns the A branch into the D branch
+        est = _estimates(table.p_da, table.p_dd, table.p_aa, table.p_ad, knowledge)
     else:
         raise ValueError(f"postselect must be 'D' or 'A', got {postselect!r}")
-    if probability < MIN_POSTSELECTION:
+    if est.psel < MIN_POSTSELECTION:
         raise DegenerateConditioningError(
-            f"post-selection probability {probability!r} below {MIN_POSTSELECTION}"
+            f"post-selection probability {est.psel!r} below {MIN_POSTSELECTION}"
         )
-    wv = config.mb_sign * numerator / (knowledge * probability)
-    return WeakValueRecord(wv=wv, postselection_probability=probability)
-
-
-def _records_from_rows(
-    probs: np.ndarray, knowledge: float, mb_sign: int, correlator_norm: str
-) -> list[tuple[LGRecord, WeakValueRecord]]:
-    p_dd, p_da, p_ad, p_aa = (probs[:, i] for i in range(4))
-    s1 = ((p_dd + p_da) - (p_ad + p_aa)) / knowledge
-    s2 = (p_dd + p_ad) - (p_da + p_aa)
-    raw = p_dd - p_da - p_ad + p_aa
-    s1s2 = raw / knowledge if correlator_norm == "k" else raw
-    b = mb_sign * s1 + mb_sign * s1s2 - s2
-    psel = p_dd + p_ad
-    # sweep rows report the weak value of S1 itself; the Mb sign enters b only
-    with np.errstate(divide="ignore", invalid="ignore"):
-        wv = np.where(psel >= MIN_POSTSELECTION, (p_dd - p_ad) / (knowledge * psel), np.nan)
-    return [
-        (
-            LGRecord(s1_mean=float(s1[i]), s2_mean=float(s2[i]), s1s2_corr=float(s1s2[i]),
-                     b=float(b[i]), mb_sign=mb_sign),
-            WeakValueRecord(wv=float(wv[i]), postselection_probability=float(psel[i])),
-        )
-        for i in range(probs.shape[0])
-    ]
+    return WeakValueRecord(wv=config.mb_sign * float(est.wv), postselection_probability=est.psel)
 
 
 def theta_sweep(
@@ -331,17 +334,17 @@ def theta_sweep(
     meter = qcore.from_knowledge(knowledge)
     thetas = grid.values()
     probs = _probability_matrix(thetas, meter, gate_model)
-    records = _records_from_rows(probs, knowledge, mb_sign, correlator_norm)
-    return [(float(t), lg, wv) for t, (lg, wv) in zip(thetas, records)]
-
-
-def _b_of_theta(thetas: np.ndarray, meter: qcore.MeterSetting, gate_model: GateModel, mb_sign: int) -> np.ndarray:
-    probs = _probability_matrix(np.atleast_1d(thetas), meter, gate_model)
-    p_dd, p_da, p_ad, p_aa = (probs[:, i] for i in range(4))
-    s1 = ((p_dd + p_da) - (p_ad + p_aa)) / meter.knowledge
-    s2 = (p_dd + p_ad) - (p_da + p_aa)
-    s1s2 = (p_dd - p_da - p_ad + p_aa) / meter.knowledge
-    return mb_sign * (s1 + s1s2) - s2
+    # sweep rows report the weak value of S1 itself; the Mb sign enters b only
+    est = _estimates(*probs.T, knowledge, mb_sign, correlator_norm == "k")
+    return [
+        (
+            float(thetas[i]),
+            LGRecord(s1_mean=float(est.s1[i]), s2_mean=float(est.s2[i]), s1s2_corr=float(est.s1s2[i]),
+                     b=float(est.b[i]), mb_sign=mb_sign),
+            WeakValueRecord(wv=float(est.wv[i]), postselection_probability=float(est.psel[i])),
+        )
+        for i in range(len(thetas))
+    ]
 
 
 def _golden_section_max(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
@@ -364,25 +367,66 @@ def _golden_section_max(f, lo: float, hi: float, xtol: float) -> tuple[float, fl
     return mid, f(mid)
 
 
+def _bisect(f, a: float, b: float, xtol: float) -> float:
+    """Root of f on [a, b] by bisection, step for step as scipy.optimize.bisect.
+
+    The midpoint update, the sign test and the stopping rule (with scipy's
+    default relative tolerance 4 eps) are kept exactly, so the endpoints it
+    returns are the ones the interval comments have always printed.
+    """
+    fa, fb = f(a), f(b)
+    if fa * fb > 0.0:
+        raise RuntimeError(f"bisection bracket [{a!r}, {b!r}] does not enclose a sign change")
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    rtol = 4.0 * np.finfo(float).eps
+    dm = b - a
+    for _ in range(100):
+        dm *= 0.5
+        xm = a + dm
+        fm = f(xm)
+        if fm * fa >= 0.0:
+            a = xm
+        if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
+            return xm
+    raise RuntimeError(f"bisection did not converge; last midpoint {xm!r}")
+
+
+def _grid_search(knowledge: float, gate_model: GateModel, mb_sign: int):
+    """Coarse 1024-point grid over [0, 2 pi), then golden-section on the peak.
+
+    Returns (scalar_b, thetas, values, peak, theta_star, b_star): B at one
+    angle, the grid, B on the grid, its argmax and the refined maximum.
+    """
+    _require_strength(knowledge)
+    meter = qcore.from_knowledge(knowledge)
+
+    def b_of(thetas: np.ndarray) -> np.ndarray:
+        return _estimates(*_probability_matrix(thetas, meter, gate_model).T, knowledge, mb_sign).b
+
+    def scalar_b(theta: float) -> float:
+        # python floats round exactly like numpy's, at a fraction of the cost
+        row = _probability_matrix(np.array([theta]), meter, gate_model)[0]
+        return _estimates(*row.tolist(), knowledge, mb_sign).b
+
+    thetas = np.linspace(0.0, _TWO_PI, _SEARCH_GRID, endpoint=False)
+    values = b_of(thetas)
+    peak = int(np.argmax(values))
+    theta_star, b_star = _golden_section_max(
+        scalar_b, thetas[peak] - _GRID_SPACING, thetas[peak] + _GRID_SPACING, _REFINE_XTOL
+    )
+    return scalar_b, thetas, values, peak, theta_star, b_star
+
+
 def b_max(knowledge: float, gate_model: GateModel = IDEAL_GATE, mb_sign: int = +1) -> tuple[float, float]:
     """Maximize B over theta: coarse 1024-point grid, then golden-section.
 
     Returns (theta_star, b_star) with theta_star in [0, 2 pi). For the ideal
     gate b_star equals sqrt(2 - K^2) up to the angular refinement tolerance.
     """
-    _require_strength(knowledge)
-    meter = qcore.from_knowledge(knowledge)
-    thetas = np.linspace(0.0, _TWO_PI, _SEARCH_GRID, endpoint=False)
-    values = _b_of_theta(thetas, meter, gate_model, mb_sign)
-    peak = int(np.argmax(values))
-    spacing = _TWO_PI / _SEARCH_GRID
-
-    def scalar_b(theta: float) -> float:
-        return float(_b_of_theta(np.array([theta]), meter, gate_model, mb_sign)[0])
-
-    theta_star, b_star = _golden_section_max(
-        scalar_b, thetas[peak] - spacing, thetas[peak] + spacing, _REFINE_XTOL
-    )
+    theta_star, b_star = _grid_search(knowledge, gate_model, mb_sign)[4:]
     return theta_star % _TWO_PI, b_star
 
 
@@ -396,34 +440,28 @@ def violation_interval(
     the arc wraps through zero), or None when no violation exists. Endpoints
     are located by bisection to 1e-10.
     """
-    _require_strength(knowledge)
-    meter = qcore.from_knowledge(knowledge)
-    thetas = np.linspace(0.0, _TWO_PI, _SEARCH_GRID, endpoint=False)
-    values = _b_of_theta(thetas, meter, gate_model, mb_sign)
-    peak = int(np.argmax(values))
-    spacing = _TWO_PI / _SEARCH_GRID
-    if _golden_section_max(
-        lambda t: float(_b_of_theta(np.array([t]), meter, gate_model, mb_sign)[0]),
-        thetas[peak] - spacing,
-        thetas[peak] + spacing,
-        _REFINE_XTOL,
-    )[1] <= 1.0 + 1e-12:
+    scalar_b, thetas, values, peak, theta_star, b_star = _grid_search(knowledge, gate_model, mb_sign)
+    if b_star <= 1.0 + 1e-12:
         return None
 
     def excess(theta: float) -> float:
-        return float(_b_of_theta(np.array([theta % _TWO_PI]), meter, gate_model, mb_sign)[0]) - 1.0
+        return scalar_b(theta % _TWO_PI) - 1.0
 
     def walk(direction: int) -> float:
         # march from the grid peak until B <= 1, then bisect the crossing
         for step in range(1, _SEARCH_GRID):
-            inside = thetas[peak] + direction * (step - 1) * spacing
-            outside = thetas[peak] + direction * step * spacing
             if values[(peak + direction * step) % _SEARCH_GRID] <= 1.0:
-                f_out = excess(outside)
-                if f_out == 0.0:
+                outside = thetas[peak] + direction * step * _GRID_SPACING
+                # the grid and the recomputed angle can disagree by round-off
+                # when the crossing sits on a grid point
+                if excess(outside) >= 0.0:
                     return outside
-                lo, hi = sorted((inside, outside))
-                return float(optimize.bisect(excess, lo, hi, xtol=_REFINE_XTOL))
+                inside = thetas[peak] + direction * (step - 1) * _GRID_SPACING
+                # a violation arc narrower than one grid cell misses the grid
+                if excess(inside) < 0.0:
+                    inside = theta_star
+                lo, hi = sorted((float(inside), float(outside)))
+                return _bisect(excess, lo, hi, _REFINE_XTOL)
         raise RuntimeError("no B = 1 crossing found; grid walk exhausted")
 
     theta_lo = walk(-1)

@@ -18,12 +18,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateConditioningError
-
 # Tolerance for exact-math identities (normalization, hermiticity, trace).
 TOL_EXACT = 1e-12
-# Probabilities below this are treated as true zeros when conditioning.
-MIN_CONDITION_PROB = 1e-15
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -144,38 +140,6 @@ class MeterSetting:
             raise ValueError("MeterSetting requires K = 2 gamma^2 - 1 within 1e-12")
 
 
-@dataclass(frozen=True)
-class Observable:
-    """Dichotomic polarization observable: 2x2 Hermitian with eigenvalues {+1, -1}."""
-
-    matrix: np.ndarray
-    label: str  # "S1" or "S2"
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (2, 2):
-            raise ValueError("Observable matrix must be 2x2")
-        if np.max(np.abs(mat - mat.conj().T)) > TOL_EXACT:
-            raise ValueError("Observable must be Hermitian")
-        eigs = np.sort(np.linalg.eigvalsh(mat))
-        if abs(eigs[0] + 1.0) > TOL_EXACT or abs(eigs[1] - 1.0) > TOL_EXACT:
-            raise ValueError("Observable eigenvalues must be exactly {+1, -1}")
-        if self.label not in ("S1", "S2"):
-            raise ValueError(f"Observable label must be S1 or S2, got {self.label!r}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-
-def s1_observable() -> Observable:
-    """Degree of polarization in the H/V basis: |H><H| - |V><V|."""
-    return Observable(np.array([[1.0, 0.0], [0.0, -1.0]]), "S1")
-
-
-def s2_observable() -> Observable:
-    """Degree of polarization in the D/A basis: |D><D| - |A><A|."""
-    return Observable(np.array([[0.0, 1.0], [1.0, 0.0]]), "S2")
-
-
 def ket_signal(theta: float) -> PureState:
     """Signal preparation cos(theta/2)|H> + sin(theta/2)|V>.
 
@@ -254,42 +218,3 @@ def measure_joint(
     else:
         raise TypeError(f"unsupported state type {type(state).__name__}")
     return min(max(prob, 0.0), 1.0)
-
-
-def conditional_signal_state(
-    state: JointState | DensityOperator,
-    meter_outcome: BasisOutcome | str,
-) -> tuple[PureState | DensityOperator, float]:
-    """Project the meter onto a D/A outcome and renormalize the signal.
-
-    Returns the conditional signal state together with the outcome
-    probability. Raises :class:`DegenerateConditioningError` when that
-    probability falls below 1e-15 (a true zero up to round-off).
-    """
-    m = _as_outcome(meter_outcome)
-    if m not in (BasisOutcome.D, BasisOutcome.A):
-        raise ValueError("meter readout outcome must be D or A")
-    mk = m.ket()
-    if isinstance(state, JointState):
-        amps = state.amplitudes.reshape(2, 2)  # [signal, meter]
-        signal = amps @ mk.conj()
-        prob = float(np.real(np.vdot(signal, signal)))
-        if prob <= MIN_CONDITION_PROB:
-            raise DegenerateConditioningError(
-                f"meter outcome {m.value} has probability {prob!r}; conditioning is degenerate"
-            )
-        return PureState(signal / math.sqrt(prob)), prob
-    if isinstance(state, DensityOperator):
-        if state.dim != 4:
-            raise ValueError("conditional_signal_state needs a two-qubit density operator")
-        rho = state.matrix.reshape(2, 2, 2, 2)  # [s, m, s', m']
-        reduced = np.einsum("imjn,m,n->ij", rho, mk.conj(), mk)
-        prob = float(np.real(np.trace(reduced)))
-        if prob <= MIN_CONDITION_PROB:
-            raise DegenerateConditioningError(
-                f"meter outcome {m.value} has probability {prob!r}; conditioning is degenerate"
-            )
-        reduced = reduced / prob
-        reduced = 0.5 * (reduced + reduced.conj().T)  # scrub round-off asymmetry
-        return DensityOperator(reduced), prob
-    raise TypeError(f"unsupported state type {type(state).__name__}")

@@ -172,9 +172,11 @@ def run_trials(plan: TrialPlan, config: experiment.ExperimentConfig) -> TrialSum
     can be reproduced without regenerating the ensemble. Weak-value entries
     are None for trials whose post-selection retained no events.
     """
+    knowledge = experiment._require_strength(config.meter.knowledge)
     table = experiment.run(config)
-    true_b = experiment.lg_b(config).b
-    knowledge = config.meter.knowledge
+    true_b = experiment._table_estimates(
+        table, knowledge, config.mb_sign, config.correlator_norm == "k"
+    ).b
     estimates: list[EstimateWithError] = []
     weak_values: list[EstimateWithError | None] = []
     for index in range(plan.n_trials):

@@ -48,15 +48,6 @@ def probability_table(theta, knowledge):
     )
 
 
-def conditional_on_meter(theta, knowledge, meter_outcome):
-    """Brute-force conditional signal state and outcome probability."""
-    amps = joint_amplitudes(theta, knowledge)
-    met = _BASIS[meter_outcome]
-    unnorm = np.array([amps[0] * met[0] + amps[1] * met[1], amps[2] * met[0] + amps[3] * met[1]])
-    probability = float(unnorm @ unnorm)
-    return unnorm / math.sqrt(probability), probability
-
-
 # closed forms for the ideal gate
 
 def visibility_factor(knowledge):

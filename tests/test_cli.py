@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -117,6 +120,8 @@ def test_quiet_flag_controls_progress_line(tmp_path, capsys):
         ("fig3", "--k-list", ",", "--out", "x.csv"),
         ("mc", "--theta", "0.5", "--pairs", "0", "--out", "x.csv"),
         ("mc", "--theta", "0.5", "--trials", "0", "--out", "x.csv"),
+        ("fig3", "--k-list", "0.5,0.5", "--out", "x.csv"),
+        ("fig3", "--k-list", "0.1234561,0.1234564", "--out", "x.csv"),  # both label b_k0.123456
     ],
 )
 def test_usage_errors_exit_two_without_output(argv, tmp_path, capsys, monkeypatch):
@@ -249,3 +254,16 @@ def test_mc_rerun_summary_and_error_columns(tmp_path):
         experiment.b_max(0.5445)[1], abs=5e-3
     )  # theta sits near the optimum
     assert 0.0 <= summary["coverage"] <= 1.0
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # every CLI invocation pays its import time; scipy alone cost about 0.5 s
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    probe = "import sys, lgi_weaksim.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -319,6 +319,26 @@ def test_violation_interval_limits():
     )
 
 
+@pytest.mark.parametrize(
+    "knowledge, mb_sign",
+    [
+        (1.0 - 1e-8, +1),    # the whole arc lies inside one search-grid cell
+        (1.0 - 1e-8, -1),
+        (0.177992, +1),      # the B = 1 crossing at theta = 0 or pi sits on a grid
+        (0.0827515, -1),     # point, where round-off flips the sign of B - 1
+        (0.0532441, -1),
+        (0.107443, +1),
+    ],
+)
+def test_violation_interval_brackets_crossings_near_grid_points(knowledge, mb_sign):
+    lo, hi = experiment.violation_interval(knowledge, mb_sign=mb_sign)
+    assert 0.0 <= lo < TWO_PI
+    assert hi - lo == pytest.approx(oracles.violation_width(knowledge), abs=1e-8 + 1e-13 / knowledge)
+    # B = 1 exactly at theta = 0 (Mb = +S1) and theta = pi (Mb = -S1) for every K
+    edge = hi if mb_sign > 0 else lo
+    assert edge == pytest.approx(TWO_PI if mb_sign > 0 else math.pi, abs=1e-8)
+
+
 def test_violation_interval_closed_under_fully_mixed_gate():
     gate = experiment.GateModel(kind="ppbs", visibility=0.0)
     assert experiment.violation_interval(K_STRONG, gate) is None

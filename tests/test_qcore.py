@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from lgi_weaksim import qcore
-from lgi_weaksim.errors import DegenerateConditioningError
 
 K_STRONG = 0.5445
 K_WEAK = 0.1598
@@ -18,8 +17,6 @@ GAMMA_WEAK = 0.7615116545398369
 GAMMA_BAR_WEAK = 0.6481512169239522
 TABLE_HALFPI_STRONG = (0.4596902104891881, 0.04030978951081193,
                        0.459690210489188, 0.040309789510811905)
-COND_PROB_3PI4 = 0.4434314575050761
-COND_STATE_3PI4 = (0.4376635792894593, 0.8991388053929934)
 
 thetas = st.floats(0.0, 2.0 * math.pi)
 strengths = st.floats(1e-6, 1.0)
@@ -85,19 +82,6 @@ def test_basis_outcome_signs_and_kets():
     assert qcore.BasisOutcome.A.sign == -1
     np.testing.assert_allclose(qcore.BasisOutcome.D.ket(), [2**-0.5, 2**-0.5])
     np.testing.assert_allclose(qcore.BasisOutcome.A.ket(), [2**-0.5, -(2**-0.5)])
-
-
-def test_observables_are_anticommuting_involutions():
-    s1 = qcore.s1_observable().matrix
-    s2 = qcore.s2_observable().matrix
-    np.testing.assert_allclose(s1 @ s1, np.eye(2), atol=1e-15)
-    np.testing.assert_allclose(s2 @ s2, np.eye(2), atol=1e-15)
-    np.testing.assert_allclose(s1 @ s2, -(s2 @ s1), atol=1e-15)
-    # S2 resolves the D/A basis
-    d = qcore.BasisOutcome.D.ket()
-    a = qcore.BasisOutcome.A.ket()
-    np.testing.assert_allclose(s2 @ d, d, atol=1e-15)
-    np.testing.assert_allclose(s2 @ a, -a, atol=1e-15)
 
 
 def test_tensor_basis_products():
@@ -191,50 +175,6 @@ def test_measure_density_matches_pure(theta, knowledge):
         assert qcore.measure_joint(rho, m, s) == pytest.approx(
             qcore.measure_joint(state, m, s), abs=1e-12
         )
-
-
-def test_conditional_on_product_state():
-    h = qcore.PureState(np.array([1.0, 0.0]))
-    d = qcore.PureState(qcore.BasisOutcome.D.ket())
-    signal, prob = qcore.conditional_signal_state(qcore.tensor(h, d), "D")
-    assert prob == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(signal.amplitudes, [1.0, 0.0], atol=1e-12)
-
-
-def test_conditional_on_schmidt_pair():
-    # (|H>|D> + |V>|A>)/sqrt(2), meter A -> (|V>, 1/2)
-    state = qcore.JointState(np.array([0.5, 0.5, 0.5, -0.5]))
-    signal, prob = qcore.conditional_signal_state(state, "A")
-    assert prob == pytest.approx(0.5, abs=1e-12)
-    np.testing.assert_allclose(signal.amplitudes, [0.0, 1.0], atol=1e-12)
-
-
-def test_conditional_matches_brute_force_oracle():
-    state = post_gate_state(3.0 * math.pi / 4.0, 0.16)
-    signal, prob = qcore.conditional_signal_state(state, "D")
-    assert prob == pytest.approx(COND_PROB_3PI4, abs=1e-14)
-    np.testing.assert_allclose(signal.amplitudes, COND_STATE_3PI4, atol=1e-13)
-    oracle_state, oracle_prob = oracles.conditional_on_meter(3.0 * math.pi / 4.0, 0.16, "D")
-    assert prob == pytest.approx(oracle_prob, abs=1e-14)
-    np.testing.assert_allclose(signal.amplitudes, oracle_state, atol=1e-13)
-
-
-def test_conditional_on_density_operator():
-    state = post_gate_state(1.2, K_WEAK)
-    rho = qcore.DensityOperator(np.outer(state.amplitudes, state.amplitudes.conj()))
-    pure_signal, pure_prob = qcore.conditional_signal_state(state, "A")
-    mixed_signal, mixed_prob = qcore.conditional_signal_state(rho, "A")
-    assert mixed_prob == pytest.approx(pure_prob, abs=1e-12)
-    expected = np.outer(pure_signal.amplitudes, pure_signal.amplitudes.conj())
-    np.testing.assert_allclose(mixed_signal.matrix, expected, atol=1e-12)
-
-
-def test_conditional_degenerate_branch_raises():
-    # K=1 prepares the meter exactly in D and theta=0 leaves it untouched,
-    # so the A branch has zero weight
-    state = post_gate_state(0.0, 1.0)
-    with pytest.raises(DegenerateConditioningError):
-        qcore.conditional_signal_state(state, "A")
 
 
 def test_state_validation_rejects_bad_inputs():
