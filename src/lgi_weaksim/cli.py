@@ -29,6 +29,8 @@ MANIFEST_HEADER = "# lgi-weaksim manifest v1"
 
 # K used by the gate subcommand's correlator ceiling column.
 GATE_REFERENCE_K = 0.5445
+# Sweeps hold every row in memory at once, so the grid size is bounded.
+MAX_THETA_STEPS = 100_000
 
 _TWO_PI = 2.0 * math.pi
 
@@ -96,6 +98,8 @@ def _check_strength(parser: argparse.ArgumentParser, k: float, flag: str = "--k"
 def _check_steps(parser: argparse.ArgumentParser, steps: int) -> None:
     if steps < 2:
         parser.error(f"--theta-steps must be at least 2, got {steps}")
+    if steps > MAX_THETA_STEPS:
+        parser.error(f"--theta-steps must be at most {MAX_THETA_STEPS}, got {steps}")
 
 
 def _resolve_gate(parser: argparse.ArgumentParser, gate: str, visibility: float | None) -> experiment.GateModel:
@@ -118,21 +122,16 @@ def _sweep_table(
     header = list(_SWEEP_COLUMNS)
     if degrees:
         header[0] = "theta_deg"
-    meter = qcore.from_knowledge(k)
-    rows = []
-    for theta in np.linspace(0.0, _TWO_PI, steps):
-        config = experiment.ExperimentConfig(
-            theta=float(theta), meter=meter, mb_sign=mb_sign, gate_model=gate_model
-        )
-        table = experiment.run(config)
-        # the wv column is the S1 weak value; mb_sign affects b only
-        est = experiment._table_estimates(table, k, mb_sign)
-        angle = math.degrees(theta) if degrees else float(theta)
-        rows.append(
-            [_format_real(angle), _format_real(k), str(mb_sign)]
-            + [_format_real(p) for p in (table.p_dd, table.p_da, table.p_ad, table.p_aa)]
-            + [_format_real(v) for v in (est.s1, est.s2, est.s1s2, est.b, float(est.wv), est.psel)]
-        )
+    thetas = np.linspace(0.0, _TWO_PI, steps)
+    probs = experiment._probability_matrix(thetas, qcore.from_knowledge(k), gate_model)
+    # the wv column is the S1 weak value; mb_sign affects b only
+    est = experiment._estimates(*probs.T, k, mb_sign)
+    values = np.column_stack([probs, est.s1, est.s2, est.s1s2, est.b, est.wv, est.psel])
+    fixed = [_format_real(k), str(mb_sign)]
+    rows = [
+        [_format_real(angle)] + fixed + [_format_real(v) for v in row]
+        for angle, row in zip((np.degrees(thetas) if degrees else thetas).tolist(), values.tolist())
+    ]
     return header, rows
 
 
@@ -241,7 +240,7 @@ def _cmd_fig3(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def _cmd_gate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if not 0.0 <= args.visibility <= 1.0:
         parser.error(f"--visibility must lie in [0, 1], got {args.visibility:g}")
-    emap = optics.effective_map(args.visibility)
+    emap = experiment._gate_map(args.visibility)
     fidelity = optics.process_fidelity_to_cz(emap)
     _, b_star = experiment.b_max(
         GATE_REFERENCE_K, experiment.GateModel(kind="ppbs", visibility=args.visibility)

@@ -181,55 +181,49 @@ def _projector_rows() -> np.ndarray:
     d = qcore.BasisOutcome.D.ket()
     a = qcore.BasisOutcome.A.ket()
     # rows ordered (dd, da, ad, aa) = (meter, signal); vectors are signal-major
-    # and real, so the Born rule below needs no conjugation
-    return np.stack([np.kron(s, m) for m, s in ((d, d), (d, a), (a, d), (a, a))]).real
+    return np.stack([np.kron(s, m) for m, s in ((d, d), (d, a), (a, d), (a, a))])
 
 
 _PROJ = _projector_rows()
+_BRAS = _PROJ.conj()[:, None, :]   # (4, 1, 4): one row vector per outcome
+_KETS = _PROJ[:, :, None]          # (4, 4, 1): one column vector per outcome
 
 
 def _probability_matrix(thetas: np.ndarray, meter: qcore.MeterSetting, gate_model: GateModel) -> np.ndarray:
-    """Vectorized engine: rows of (p_dd, p_da, p_ad, p_aa) for an angle array.
+    """The probability engine: rows of (p_dd, p_da, p_ad, p_aa) for an angle array.
 
-    Must agree with :func:`run` pointwise; the scalar path goes through the
-    qcore objects, this one through the same algebra in batched form.
+    Each row equals, bit for bit and at any batch size, what qcore's object
+    path gives for that angle (``tensor`` of ``ket_signal`` and ``meter_ket``,
+    then ``apply_cz`` or the gate map, then ``measure_joint``). Every product
+    below is a stack of the complex BLAS calls that path makes per state: a
+    dot product for ``np.vdot``, a matrix-vector product for the map and for
+    ``rho @ proj``. A real or fused form sums in another order and changes
+    the last bit of some CSV cells.
     """
     thetas = np.asarray(thetas, dtype=float)
-    c = np.cos(thetas / 2.0)
-    s = np.sin(thetas / 2.0)
-    mu = qcore.meter_ket(meter).amplitudes.real
-    psi = np.stack([c * mu[0], c * mu[1], s * mu[0], s * mu[1]], axis=1)
+    g, gb = meter.gamma, meter.gamma_bar
+    # the amplitudes qcore.meter_ket builds, without the cost of validating them
+    mu = np.array([(g + gb) * qcore._INV_SQRT2, (g - gb) * qcore._INV_SQRT2], dtype=complex)
+    psi = (np.stack([np.cos(thetas / 2.0), np.sin(thetas / 2.0)], axis=1)[:, :, None] * mu).reshape(-1, 4)
     if gate_model.kind == "ideal":
         psi[:, 3] = -psi[:, 3]
-        probs = (psi @ _PROJ.T) ** 2
+        amps = _BRAS @ psi[:, None, :, None]
+        probs = np.real(amps * amps.conj())
     else:
         sup = _gate_map(gate_model.visibility).superoperator
-        rho = psi[:, :, None] * psi[:, None, :]
-        out = (rho.reshape(-1, 16) @ sup.T).reshape(-1, 4, 4)
-        traces = np.real(np.einsum("nii->n", out))
-        out = out / traces[:, None, None]
-        probs = np.real(np.einsum("ki,nij,kj->nk", _PROJ, out, _PROJ))
-    return np.clip(probs, 0.0, 1.0)
+        rho = ((psi[:, :, None] * psi[:, None, :].conj()).reshape(-1, 16) @ sup.T).reshape(-1, 4, 4)
+        rho = rho / np.real(np.trace(rho, axis1=1, axis2=2))[:, None, None]
+        # C order keeps each matrix row-major, so BLAS sees the layout one
+        # DensityOperator has; numpy would pick Fortran order for large batches
+        rho = 0.5 * np.add(rho, rho.swapaxes(1, 2).conj(), order="C")
+        probs = np.real(_BRAS @ (rho[:, None] @ _KETS))
+    return np.clip(probs.reshape(-1, 4), 0.0, 1.0)
 
 
 def run(config: ExperimentConfig) -> ProbabilityTable:
     """Exact joint outcome probabilities for one protocol setting."""
-    joint = qcore.tensor(qcore.ket_signal(config.theta), qcore.meter_ket(config.meter))
-    state: qcore.JointState | qcore.DensityOperator
-    if config.gate_model.kind == "ideal":
-        state = qcore.apply_cz(joint)
-    else:
-        emap = _gate_map(config.gate_model.visibility)
-        rho_out = emap.apply(np.outer(joint.amplitudes, joint.amplitudes.conj()))
-        success = float(np.real(np.trace(rho_out)))
-        rho_out = rho_out / success
-        state = qcore.DensityOperator(0.5 * (rho_out + rho_out.conj().T))
-    return ProbabilityTable(
-        p_dd=qcore.measure_joint(state, "D", "D"),
-        p_da=qcore.measure_joint(state, "D", "A"),
-        p_ad=qcore.measure_joint(state, "A", "D"),
-        p_aa=qcore.measure_joint(state, "A", "A"),
-    )
+    row = _probability_matrix(np.array([config.theta]), config.meter, config.gate_model)[0]
+    return ProbabilityTable(*row.tolist())
 
 
 class _Estimates(NamedTuple):

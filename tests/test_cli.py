@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from lgi_weaksim import cli, experiment
+from lgi_weaksim import cli, experiment, optics
 
 SQRT2 = math.sqrt(2.0)
 
@@ -122,6 +122,9 @@ def test_quiet_flag_controls_progress_line(tmp_path, capsys):
         ("mc", "--theta", "0.5", "--trials", "0", "--out", "x.csv"),
         ("fig3", "--k-list", "0.5,0.5", "--out", "x.csv"),
         ("fig3", "--k-list", "0.1234561,0.1234564", "--out", "x.csv"),  # both label b_k0.123456
+        ("sweep", "--theta-steps", "100001", "--out", "x.csv"),
+        ("fig2", "--theta-steps", "100001", "--out-prefix", "x"),
+        ("fig3", "--theta-steps", "100001", "--out", "x.csv"),
     ],
 )
 def test_usage_errors_exit_two_without_output(argv, tmp_path, capsys, monkeypatch):
@@ -129,7 +132,7 @@ def test_usage_errors_exit_two_without_output(argv, tmp_path, capsys, monkeypatc
     with pytest.raises(SystemExit) as excinfo:
         run_cli(*argv)
     assert excinfo.value.code == 2
-    assert not (tmp_path / "x.csv").exists()
+    assert not any(tmp_path.iterdir())
     capsys.readouterr()
 
 
@@ -220,6 +223,21 @@ def test_gate_endpoint_figures_of_merit(tmp_path):
     assert column(header, rows, "success_probability")[0] == pytest.approx(2.0 / 9.0, abs=1e-9)
     assert column(header, rows, "process_fidelity")[0] == pytest.approx(0.25, abs=1e-9)
     assert column(header, rows, "b_max")[0] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_gate_builds_the_ppbs_map_once(tmp_path, monkeypatch):
+    built = []
+    original = optics.effective_map
+
+    def counting(visibility, *args):
+        built.append(visibility)
+        return original(visibility, *args)
+
+    monkeypatch.setattr(optics, "effective_map", counting)
+    experiment._gate_map.cache_clear()
+    assert run_cli("gate", "--visibility", 0.3, "--out", tmp_path / "gate.csv", "--quiet") == 0
+    assert experiment._gate_map.cache_info().misses == 1
+    assert built == [0.3]
 
 
 def test_mc_rerun_summary_and_error_columns(tmp_path):

@@ -41,6 +41,38 @@ def config_for(theta, knowledge, mb_sign=+1, **kwargs):
     )
 
 
+def reference_probabilities(theta, meter, gate_model):
+    """The scalar path through validated qcore objects, one state at a time.
+
+    The batched engine must reproduce it bit for bit: CSV cells print nine
+    significant digits, and at small K the estimators' 1/K brings the last
+    bit of a probability into view.
+    """
+    joint = qcore.tensor(qcore.ket_signal(theta), qcore.meter_ket(meter))
+    if gate_model.kind == "ideal":
+        state = qcore.apply_cz(joint)
+    else:
+        emap = experiment._gate_map(gate_model.visibility)
+        rho_out = emap.apply(np.outer(joint.amplitudes, joint.amplitudes.conj()))
+        success = float(np.real(np.trace(rho_out)))
+        rho_out = rho_out / success
+        state = qcore.DensityOperator(0.5 * (rho_out + rho_out.conj().T))
+    return np.array([qcore.measure_joint(state, m, s) for m, s in (("D", "D"), ("D", "A"), ("A", "D"), ("A", "A"))])
+
+
+def _bit_contract_cases(count=210, seed=2009):
+    # K log-uniform over the whole domain plus both ends, xi in {0, 1, random}
+    rng = np.random.default_rng(seed)
+    strengths = np.concatenate([[1e-9, 1.0], 10.0 ** rng.uniform(-9.0, 0.0, count - 2)])
+    return [
+        (float(knowledge), (0.0, 1.0, float(rng.uniform()))[index % 3], float(rng.uniform(-60.0, 60.0)))
+        for index, knowledge in enumerate(strengths)
+    ]
+
+
+BIT_CONTRACT_CASES = _bit_contract_cases()
+
+
 def test_run_at_zero_angle_splits_by_meter_weights():
     setting = qcore.from_knowledge(K_STRONG)
     table = experiment.run(config_for(0.0, K_STRONG))
@@ -63,6 +95,35 @@ def test_run_with_zero_strength_meter():
     assert table.p_dd + table.p_da == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ZeroStrengthError):
         experiment.s1_mean(table, 0.0)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 1024])
+@pytest.mark.parametrize("kind", ["ideal", "ppbs"])
+def test_engine_rows_equal_qcore_reference_bit_for_bit(kind, batch):
+    rng = np.random.default_rng(batch)
+    for knowledge, xi, theta in BIT_CONTRACT_CASES:
+        gate = experiment.IDEAL_GATE if kind == "ideal" else experiment.GateModel(kind="ppbs", visibility=xi)
+        meter = qcore.from_knowledge(knowledge)
+        expected = reference_probabilities(theta, meter, gate)
+        # the case's angle sits at a random slot among random neighbours
+        angles = rng.uniform(-60.0, 60.0, batch)
+        slot = int(rng.integers(batch))
+        angles[slot] = theta
+        row = experiment._probability_matrix(angles, meter, gate)[slot]
+        assert np.array_equal(row, expected), (knowledge, xi, theta)
+        table = experiment.run(experiment.ExperimentConfig(theta=theta, meter=meter, gate_model=gate))
+        assert np.array_equal(table.as_array(), expected), (knowledge, xi, theta)
+
+
+@pytest.mark.parametrize("gate", [experiment.IDEAL_GATE, experiment.GateModel(kind="ppbs", visibility=0.7077)])
+def test_engine_rows_do_not_depend_on_batch_size(gate):
+    angles = np.random.default_rng(7).uniform(-60.0, 60.0, 512)
+    for knowledge in (1e-9, 0.00348113, K_WEAK, K_STRONG, 1.0):
+        meter = qcore.from_knowledge(knowledge)
+        batch = experiment._probability_matrix(angles, meter, gate)
+        for i in range(len(angles)):
+            single = experiment._probability_matrix(angles[i:i + 1], meter, gate)[0]
+            assert np.array_equal(batch[i], single), (knowledge, angles[i])
 
 
 @given(thetas, strengths)
