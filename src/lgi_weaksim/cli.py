@@ -23,7 +23,6 @@ import tempfile
 import numpy as np
 
 from . import __version__, experiment, optics, qcore, stats
-from .errors import UndefinedSignificanceError
 
 MANIFEST_HEADER = "# lgi-weaksim manifest v1"
 
@@ -31,6 +30,8 @@ MANIFEST_HEADER = "# lgi-weaksim manifest v1"
 GATE_REFERENCE_K = 0.5445
 # Sweeps hold every row in memory at once, so the grid size is bounded.
 MAX_THETA_STEPS = 100_000
+# mc holds an (n_trials, 4) float count matrix: 32 MB at this bound.
+MAX_TRIALS = 1_000_000
 
 _TWO_PI = 2.0 * math.pi
 
@@ -259,10 +260,12 @@ def _cmd_gate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_mc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _check_strength(parser, args.k)
-    if args.pairs < 1:
-        parser.error(f"--pairs must be at least 1, got {args.pairs}")
-    if args.trials < 1:
-        parser.error(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        parser.error(f"--seed must be nonnegative, got {args.seed}")
+    if not 1 <= args.pairs <= stats.MAX_PAIRS:
+        parser.error(f"--pairs must lie in [1, 2**53], got {args.pairs}")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        parser.error(f"--trials must lie in [1, {MAX_TRIALS}], got {args.trials}")
     if not math.isfinite(args.theta):
         parser.error(f"--theta must be finite, got {args.theta!r}")
 
@@ -271,17 +274,12 @@ def _cmd_mc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     summary = stats.run_trials(plan, config)
 
     header = ("trial", "b", "b_sigma", "b_significance", "wv", "wv_sigma")
-    rows = []
-    for index, (estimate, weak) in enumerate(zip(summary.estimates, summary.weak_values)):
-        try:
-            b_sig = stats.significance(estimate, bound=1.0)
-        except UndefinedSignificanceError:
-            b_sig = math.nan
-        wv_value, wv_sigma = (weak.value, weak.sigma) if weak is not None else (math.nan, math.nan)
-        rows.append(
-            [str(index)]
-            + [_format_real(v) for v in (estimate.value, estimate.sigma, b_sig, wv_value, wv_sigma)]
-        )
+    b_sig = stats._significances(summary.b, summary.b_sigma, bound=1.0)
+    columns = (summary.b, summary.b_sigma, b_sig, summary.wv, summary.wv_sigma)
+    rows = [
+        [str(index)] + [_format_real(v) for v in row]
+        for index, row in enumerate(zip(*(c.tolist() for c in columns)))
+    ]
     trailer = [
         f"# summary true_b={_format_real(summary.true_b)}",
         f"# summary mean_b={_format_real(summary.mean_b)}",

@@ -3,13 +3,14 @@
 Counts are modeled as one multinomial draw over the four joint outcomes.
 Every estimator propagates a first-order (delta-method) standard error by
 treating each count as Poisson with variance equal to the observed count
-(floored at 1 so empty cells still contribute).
+(floored at 1 so empty cells still contribute). The estimators work on an
+(n, 4) count matrix; the single-table entry points are one-row calls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,6 +19,8 @@ from .errors import InsufficientPostselectionError, UndefinedSignificanceError
 
 # Nominal 95% two-sided interval half-width in units of sigma.
 COVERAGE_Z = 1.96
+# The estimators hold counts as float64, which is exact only up to 2**53.
+MAX_PAIRS = 2**53
 
 _S1_SIGN = np.array([+1.0, +1.0, -1.0, -1.0])   # meter D minus meter A
 _S2_SIGN = np.array([+1.0, -1.0, +1.0, -1.0])   # signal D minus signal A
@@ -71,25 +74,52 @@ class TrialPlan:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_pairs < 1:
-            raise ValueError(f"n_pairs must be positive, got {self.n_pairs!r}")
+        if not 1 <= self.n_pairs <= MAX_PAIRS:
+            raise ValueError(f"n_pairs must lie in [1, 2**53], got {self.n_pairs!r}")
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be positive, got {self.n_trials!r}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be nonnegative, got {self.master_seed!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialSummary:
-    """Ensemble summary of repeated finite-count estimates of B."""
+    """Ensemble summary of repeated finite-count estimates of B.
+
+    Per-trial results are arrays indexed by trial. ``wv`` and ``wv_sigma``
+    are NaN for trials whose post-selection retained no events.
+    """
 
     true_b: float
-    estimates: tuple[EstimateWithError, ...]
-    weak_values: tuple[EstimateWithError | None, ...]
+    b: np.ndarray
+    b_sigma: np.ndarray
+    wv: np.ndarray
+    wv_sigma: np.ndarray
     mean_b: float
     mean_sigma: float
     spread: float          # sample standard deviation of the B estimates (ddof=1)
     coverage: float        # fraction of trials whose 1.96-sigma interval covers true_b
+
+    @property
+    def estimates(self) -> tuple[EstimateWithError, ...]:
+        """The B estimates as objects, built on each access."""
+        return tuple(EstimateWithError(v, s) for v, s in zip(self.b.tolist(), self.b_sigma.tolist()))
+
+    @property
+    def weak_values(self) -> tuple[EstimateWithError | None, ...]:
+        """The weak-value estimates as objects; None where post-selection kept nothing."""
+        return tuple(
+            None if math.isnan(v) else EstimateWithError(v, s)
+            for v, s in zip(self.wv.tolist(), self.wv_sigma.tolist())
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrialSummary):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name), equal_nan=True)
+            for f in fields(self)
+        )
 
 
 def sample_counts(
@@ -106,8 +136,83 @@ def sample_counts(
     return CountTable(*(int(c) for c in draw))
 
 
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a nonnegative int, at least one."""
+    words = [value & 0xFFFFFFFF]
+    while value > 0xFFFFFFFF:
+        value >>= 32
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def _sample_trials(table: experiment.ProbabilityTable, plan: TrialPlan) -> np.ndarray:
+    """The (n_trials, 4) count matrix of a plan, as floats.
+
+    Row i is what ``sample_counts`` draws from ``default_rng([master_seed, i])``.
+    numpy reads that seed list as the uint32 words of each entry in turn;
+    handing SeedSequence those words as a uint32 array skips its slow
+    per-element coercion. One generator lives at a time.
+    """
+    probs = table.as_array()
+    counts = np.empty((plan.n_trials, 4))
+    seed_words = _uint32_words(plan.master_seed)
+    for index in range(plan.n_trials):
+        entropy = np.array(seed_words + _uint32_words(index), dtype=np.uint32)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+        counts[index] = rng.multinomial(plan.n_pairs, probs)
+    return counts
+
+
 def _poisson_variances(counts: np.ndarray) -> np.ndarray:
     return np.maximum(counts, 1.0)
+
+
+def _lg_arrays(
+    counts: np.ndarray, knowledge: float, mb_sign: int, correlator_norm: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """B and its delta-method sigma for each row of an (n, 4) count matrix.
+
+    The estimator is linear in the count fractions, so the delta method is
+    exact up to the 1/N normalization: dB/dn_i = (c_i - B)/N with c_i the
+    per-outcome coefficient. Both 4-term sums are stacked matmuls, which
+    make one BLAS dot call per row; gemv, einsum or a written-out sum add in
+    another order and move the last bit of some rows.
+    """
+    product_scale = knowledge if correlator_norm == "k" else 1.0
+    coeff = mb_sign * (_S1_SIGN / knowledge + _PRODUCT_SIGN / product_scale) - _S2_SIGN
+    total = counts.sum(axis=1)
+    value = (counts[:, None, :] @ coeff[:, None])[:, 0, 0] / total
+    gradient = (coeff - value[:, None]) / total[:, None]
+    variance = ((gradient**2)[:, None, :] @ _poisson_variances(counts)[:, :, None])[:, 0, 0]
+    return value, np.sqrt(variance)
+
+
+def _weak_value_arrays(
+    counts: np.ndarray, knowledge: float, mb_sign: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weak value and sigma for each row from the signal-D post-selected meter
+    counts; NaN (0/0) in rows where no event survived the post-selection."""
+    n_dd, n_ad = counts[:, 0], counts[:, 2]
+    retained = n_dd + n_ad
+    # subtract in mb_sign's order rather than multiply by it, so that a zero
+    # contrast is 0.0: -0.0 would print as "-0"
+    contrast = n_dd - n_ad if mb_sign > 0 else n_ad - n_dd
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = contrast / (knowledge * retained)
+        # dwv/dn_dd = 2 n_ad / (K M^2), dwv/dn_ad = -2 n_dd / (K M^2)
+        scale = knowledge * retained**2
+        # float_power squares through libm pow, as a Python float's ** does,
+        # and mc files carry its last bit; x * x (what ** and np.power compute
+        # here) differs in ~0.1 % of squares
+        variance = (np.float_power(2.0 * n_ad / scale, 2.0) * np.maximum(n_dd, 1.0)
+                    + np.float_power(2.0 * n_dd / scale, 2.0) * np.maximum(n_ad, 1.0))
+    return value, np.sqrt(variance)
+
+
+def _significances(values, sigmas, bound: float):
+    """(value - bound) / sigma elementwise; NaN where sigma is not positive."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(sigmas > 0.0, (values - bound) / sigmas, np.nan)
 
 
 def estimate_lg(
@@ -116,25 +221,14 @@ def estimate_lg(
     mb_sign: int = +1,
     correlator_norm: str = "k",
 ) -> EstimateWithError:
-    """Correlator estimate B = mb*s1 + mb*s1s2 - s2 from raw counts.
-
-    The estimator is linear in the count fractions, so the delta method is
-    exact up to the 1/N normalization: dB/dn_i = (c_i - B)/N with c_i the
-    per-outcome coefficient.
-    """
+    """Correlator estimate B = mb*s1 + mb*s1s2 - s2 from raw counts."""
     experiment._require_strength(knowledge)
     if mb_sign not in (+1, -1):
         raise ValueError(f"mb_sign must be +1 or -1, got {mb_sign!r}")
     if correlator_norm not in ("k", "raw"):
         raise ValueError(f"correlator_norm must be 'k' or 'raw', got {correlator_norm!r}")
-    n = counts.as_array()
-    total = counts.total
-    product_scale = knowledge if correlator_norm == "k" else 1.0
-    coeff = mb_sign * (_S1_SIGN / knowledge + _PRODUCT_SIGN / product_scale) - _S2_SIGN
-    value = float(coeff @ n) / total
-    gradient = (coeff - value) / total
-    variance = float(gradient**2 @ _poisson_variances(n))
-    return EstimateWithError(value=value, sigma=math.sqrt(variance))
+    value, sigma = _lg_arrays(counts.as_array()[None], knowledge, mb_sign, correlator_norm)
+    return EstimateWithError(value=float(value[0]), sigma=float(sigma[0]))
 
 
 def estimate_weak_value(counts: CountTable, knowledge: float, mb_sign: int = +1) -> EstimateWithError:
@@ -142,18 +236,12 @@ def estimate_weak_value(counts: CountTable, knowledge: float, mb_sign: int = +1)
     experiment._require_strength(knowledge)
     if mb_sign not in (+1, -1):
         raise ValueError(f"mb_sign must be +1 or -1, got {mb_sign!r}")
-    retained = counts.n_dd + counts.n_ad
-    if retained == 0:
+    if counts.n_dd + counts.n_ad == 0:
         raise InsufficientPostselectionError(
             "no events survived the signal-D post-selection; weak value is undefined"
         )
-    value = mb_sign * (counts.n_dd - counts.n_ad) / (knowledge * retained)
-    # dwv/dn_dd = 2 n_ad / (K M^2), dwv/dn_ad = -2 n_dd / (K M^2)
-    scale = knowledge * retained**2
-    variance = (2.0 * counts.n_ad / scale) ** 2 * max(counts.n_dd, 1) + (
-        2.0 * counts.n_dd / scale
-    ) ** 2 * max(counts.n_ad, 1)
-    return EstimateWithError(value=value, sigma=math.sqrt(variance))
+    value, sigma = _weak_value_arrays(counts.as_array()[None], knowledge, mb_sign)
+    return EstimateWithError(value=float(value[0]), sigma=float(sigma[0]))
 
 
 def significance(estimate: EstimateWithError, bound: float = 1.0) -> float:
@@ -162,43 +250,33 @@ def significance(estimate: EstimateWithError, bound: float = 1.0) -> float:
         raise UndefinedSignificanceError(
             f"significance requires sigma > 0, got {estimate.sigma!r}"
         )
-    return (estimate.value - bound) / estimate.sigma
+    return float(_significances(estimate.value, estimate.sigma, bound))
 
 
 def run_trials(plan: TrialPlan, config: experiment.ExperimentConfig) -> TrialSummary:
     """Repeat the finite-count experiment and summarize the B estimates.
 
     Trial i draws from ``default_rng([master_seed, i])`` so any single trial
-    can be reproduced without regenerating the ensemble. Weak-value entries
-    are None for trials whose post-selection retained no events.
+    can be reproduced without regenerating the ensemble.
     """
     knowledge = experiment._require_strength(config.meter.knowledge)
     table = experiment.run(config)
     true_b = experiment._table_estimates(
         table, knowledge, config.mb_sign, config.correlator_norm == "k"
     ).b
-    estimates: list[EstimateWithError] = []
-    weak_values: list[EstimateWithError | None] = []
-    for index in range(plan.n_trials):
-        rng = np.random.default_rng([plan.master_seed, index])
-        counts = sample_counts(table, plan.n_pairs, rng)
-        estimates.append(
-            estimate_lg(counts, knowledge, config.mb_sign, config.correlator_norm)
-        )
-        try:
-            weak_values.append(estimate_weak_value(counts, knowledge, config.mb_sign))
-        except InsufficientPostselectionError:
-            weak_values.append(None)
-    values = np.array([e.value for e in estimates])
-    sigmas = np.array([e.sigma for e in estimates])
-    spread = float(values.std(ddof=1)) if plan.n_trials > 1 else 0.0
-    covered = np.abs(values - true_b) <= COVERAGE_Z * sigmas
+    counts = _sample_trials(table, plan)
+    b, b_sigma = _lg_arrays(counts, knowledge, config.mb_sign, config.correlator_norm)
+    wv, wv_sigma = _weak_value_arrays(counts, knowledge, config.mb_sign)
+    spread = float(b.std(ddof=1)) if plan.n_trials > 1 else 0.0
+    covered = np.abs(b - true_b) <= COVERAGE_Z * b_sigma
     return TrialSummary(
         true_b=true_b,
-        estimates=tuple(estimates),
-        weak_values=tuple(weak_values),
-        mean_b=float(values.mean()),
-        mean_sigma=float(sigmas.mean()),
+        b=b,
+        b_sigma=b_sigma,
+        wv=wv,
+        wv_sigma=wv_sigma,
+        mean_b=float(b.mean()),
+        mean_sigma=float(b_sigma.mean()),
         spread=spread,
         coverage=float(covered.mean()),
     )

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -125,6 +126,9 @@ def test_quiet_flag_controls_progress_line(tmp_path, capsys):
         ("sweep", "--theta-steps", "100001", "--out", "x.csv"),
         ("fig2", "--theta-steps", "100001", "--out-prefix", "x"),
         ("fig3", "--theta-steps", "100001", "--out", "x.csv"),
+        ("mc", "--theta", "0.5", "--seed", "-1", "--out", "x.csv"),
+        ("mc", "--theta", "0.5", "--pairs", str(2**53 + 1), "--out", "x.csv"),
+        ("mc", "--theta", "0.5", "--trials", "1000001", "--out", "x.csv"),
     ],
 )
 def test_usage_errors_exit_two_without_output(argv, tmp_path, capsys, monkeypatch):
@@ -274,14 +278,54 @@ def test_mc_rerun_summary_and_error_columns(tmp_path):
     assert 0.0 <= summary["coverage"] <= 1.0
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # every CLI invocation pays its import time; scipy alone cost about 0.5 s
+def _loaded_by_cli_import(names):
+    """Which of the named modules a fresh interpreter holds after importing the CLI."""
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
-    probe = "import sys, lgi_weaksim.cli; print('scipy' in sys.modules)"
+    probe = f"import sys, lgi_weaksim.cli; print([m for m in {list(names)!r} if m in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # every CLI invocation pays its import time; scipy alone cost about 0.5 s
+    assert _loaded_by_cli_import(["scipy"]) == "[]"
+
+
+def test_cli_import_leaves_process_pools_unloaded():
+    # mc samples in-process; a worker pool's import and start-up would show in
+    # every invocation's time
+    assert _loaded_by_cli_import(["multiprocessing", "concurrent.futures"]) == "[]"
+
+
+# sha256 of `mc` files without their `# out=` line, as the per-trial path
+# wrote them; the batched path must keep every byte
+MC_GOLDEN = [
+    (("--k", "0.5445", "--theta", "5.497787", "--trials", "10000", "--pairs", "100000", "--seed", "7"),
+     "d924981a457d4068f84cd05b2b01a9836e9d8f0bc155978650a6347b16210697"),
+    # about half the trials keep no pair after post-selection: wv = nan
+    (("--k", "0.1598", "--theta", repr(1.5 * math.pi), "--trials", "300", "--pairs", "100", "--seed", "3"),
+     "42b4e2a3a1c1d2cd59223c9bbe20daadff2c32e16b0ed68f6489ddd607a08af2"),
+    (("--k", "1e-09", "--theta", "5.5", "--trials", "50", "--pairs", "1000", "--seed", "11"),
+     "3a20e41c7f12042c4badcf90e2e0a844d305aebff19b791374a93d6e487429d0"),
+    # one trial: the spread = 0 branch
+    (("--k", "0.5445", "--theta", "5.497787", "--trials", "1", "--pairs", "100000", "--seed", "0"),
+     "4d920e5d3cfabba6967475fef725ee1feb312388d01e9850819a89d51c22e537"),
+    (("--k", "0.3", "--theta", "-4.2", "--trials", "40", "--pairs", "5000", "--seed", str(2**32 + 17)),
+     "e9d5fb1826fbca1f68c1fc22bd68930330e1494881b1c8f14ff43b899c9c4a7a"),
+    (("--k", "0.9", "--theta", "13.0", "--trials", "25", "--pairs", "1", "--seed", str(2**64 + 5)),
+     "a03a912bc40fd9da6edea078d3710b08b0335f5a736b5c94f17b1222a9c925da"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", MC_GOLDEN)
+def test_mc_bytes_match_golden_digests(argv, digest, tmp_path):
+    out = tmp_path / "mc.csv"
+    assert run_cli("mc", *argv, "--out", out, "--quiet") == 0
+    lines = out.read_bytes().splitlines(keepends=True)
+    body = b"".join(line for line in lines if not line.startswith(b"# out="))
+    assert hashlib.sha256(body).hexdigest() == digest
