@@ -43,15 +43,12 @@ from .optics import (
     CENTRAL_PPBS,
     COMPENSATOR_PPBS,
     EffectiveMap,
-    ModeAmplitudeTable,
     PPBSSpec,
     build_network,
     choi_matrix,
-    coincidence_amplitudes,
     effective_map,
     fit_visibility,
     process_fidelity_to_cz,
-    two_photon_amplitudes,
 )
 from .qcore import (
     BasisOutcome,
@@ -104,15 +101,12 @@ __all__ = [
     "CENTRAL_PPBS",
     "COMPENSATOR_PPBS",
     "EffectiveMap",
-    "ModeAmplitudeTable",
     "PPBSSpec",
     "build_network",
     "choi_matrix",
-    "coincidence_amplitudes",
     "effective_map",
     "fit_visibility",
     "process_fidelity_to_cz",
-    "two_photon_amplitudes",
     # experiment
     "ExperimentConfig",
     "GateModel",

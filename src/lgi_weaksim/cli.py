@@ -136,6 +136,17 @@ def _sweep_table(
     return header, rows
 
 
+def _seed_value(text: str) -> int:
+    # one check for every subcommand: mc seeds numpy with it, the others record it
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+
+
 def _sign_value(flag: str) -> int:
     return +1 if flag == "+" else -1
 
@@ -260,8 +271,6 @@ def _cmd_gate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_mc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _check_strength(parser, args.k)
-    if args.seed < 0:
-        parser.error(f"--seed must be nonnegative, got {args.seed}")
     if not 1 <= args.pairs <= stats.MAX_PAIRS:
         parser.error(f"--pairs must lie in [1, 2**53], got {args.pairs}")
     if not 1 <= args.trials <= MAX_TRIALS:
@@ -306,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed for sampled data")
+    common.add_argument("--seed", type=_seed_value, default=0, help="master seed for sampled data")
     common.add_argument("--quiet", action="store_true", help="suppress progress messages")
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="command")
 

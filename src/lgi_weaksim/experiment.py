@@ -34,9 +34,14 @@ MIN_KNOWLEDGE = 1e-9
 MIN_POSTSELECTION = 1e-12
 
 _TWO_PI = 2.0 * math.pi
-_SEARCH_GRID = 1024          # coarse grid for b_max / violation_interval
+_SEARCH_GRID = 1024          # coarse grid for violation_interval
 _GRID_SPACING = _TWO_PI / _SEARCH_GRID
-_REFINE_XTOL = 1e-10         # golden-section / bisection angular resolution
+_REFINE_XTOL = 1e-10         # bisection angular resolution
+
+# Each estimator is a contrast over the outcomes (dd, da, ad, aa).
+_S1_SIGN = np.array([+1.0, +1.0, -1.0, -1.0])   # meter D minus meter A
+_S2_SIGN = np.array([+1.0, -1.0, +1.0, -1.0])   # signal D minus signal A
+_PRODUCT_SIGN = _S1_SIGN * _S2_SIGN
 
 
 @dataclass(frozen=True)
@@ -187,6 +192,15 @@ def _projector_rows() -> np.ndarray:
 _PROJ = _projector_rows()
 _BRAS = _PROJ.conj()[:, None, :]   # (4, 1, 4): one row vector per outcome
 _KETS = _PROJ[:, :, None]          # (4, 4, 1): one column vector per outcome
+# the signal density matrix is (I + cos(theta) Z + sin(theta) X) / 2
+_SIGNAL_TERMS = 0.5 * np.array([np.eye(2), np.diag([1.0, -1.0]), [[0.0, 1.0], [1.0, 0.0]]])
+_CZ_SIGNS = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
+
+
+def _meter_amplitudes(meter: qcore.MeterSetting) -> np.ndarray:
+    # the amplitudes qcore.meter_ket builds, without the cost of validating them
+    g, gb = meter.gamma, meter.gamma_bar
+    return np.array([(g + gb) * qcore._INV_SQRT2, (g - gb) * qcore._INV_SQRT2], dtype=complex)
 
 
 def _probability_matrix(thetas: np.ndarray, meter: qcore.MeterSetting, gate_model: GateModel) -> np.ndarray:
@@ -201,9 +215,7 @@ def _probability_matrix(thetas: np.ndarray, meter: qcore.MeterSetting, gate_mode
     the last bit of some CSV cells.
     """
     thetas = np.asarray(thetas, dtype=float)
-    g, gb = meter.gamma, meter.gamma_bar
-    # the amplitudes qcore.meter_ket builds, without the cost of validating them
-    mu = np.array([(g + gb) * qcore._INV_SQRT2, (g - gb) * qcore._INV_SQRT2], dtype=complex)
+    mu = _meter_amplitudes(meter)
     psi = (np.stack([np.cos(thetas / 2.0), np.sin(thetas / 2.0)], axis=1)[:, :, None] * mu).reshape(-1, 4)
     if gate_model.kind == "ideal":
         psi[:, 3] = -psi[:, 3]
@@ -218,6 +230,50 @@ def _probability_matrix(thetas: np.ndarray, meter: qcore.MeterSetting, gate_mode
         rho = 0.5 * np.add(rho, rho.swapaxes(1, 2).conj(), order="C")
         probs = np.real(_BRAS @ (rho[:, None] @ _KETS))
     return np.clip(probs.reshape(-1, 4), 0.0, 1.0)
+
+
+def _trig_coefficients(knowledge: float, gate_model: GateModel) -> tuple[np.ndarray, np.ndarray]:
+    """The joint probabilities as exact ratios of linear forms in x = (1, cos theta, sin theta).
+
+    Returns (num, trace) with p_i(theta) = num[i] @ x / (trace @ x) for the
+    outcomes (dd, da, ad, aa): the prepared state is linear in x, and the
+    gate and the readout are linear maps.
+    """
+    mu = _meter_amplitudes(qcore.from_knowledge(knowledge))
+    rho = np.array([np.kron(term, np.outer(mu, mu.conj())) for term in _SIGNAL_TERMS])
+    if gate_model.kind == "ideal":
+        out = rho * _CZ_SIGNS
+    else:
+        sup = _gate_map(gate_model.visibility).superoperator
+        out = (rho.reshape(3, 16) @ sup.T).reshape(3, 4, 4)
+    num = np.real(np.einsum("ia,jab,ib->ij", _PROJ.conj(), out, _PROJ))
+    return num, np.real(np.trace(out, axis1=1, axis2=2))
+
+
+def _contrast(knowledge: float, mb_sign: int, correlator_norm: str = "k") -> np.ndarray:
+    """B as a contrast vector over (dd, da, ad, aa): B = coeff @ p."""
+    product_scale = knowledge if correlator_norm == "k" else 1.0
+    return mb_sign * (_S1_SIGN / knowledge + _PRODUCT_SIGN / product_scale) - _S2_SIGN
+
+
+def _b_ratio(knowledge: float, gate_model: GateModel, mb_sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, d) with B(theta) = n @ x / (d @ x) and x = (1, cos theta, sin theta)."""
+    num, trace = _trig_coefficients(knowledge, gate_model)
+    return _contrast(knowledge, mb_sign) @ num, trace
+
+
+def _null_points(u: np.ndarray, w: np.ndarray) -> list[float]:
+    """Real s where p = u + s w has p0^2 = p1^2 + p2^2.
+
+    There p @ x, as a function of theta, touches zero: its maximum
+    p0 + |(p1, p2)| or its minimum p0 - |(p1, p2)| is 0. The quadratic in s
+    is solved in the cancellation-free form.
+    """
+    a = w[0] * w[0] - w[1] * w[1] - w[2] * w[2]
+    half_b = -(u[0] * w[0] - u[1] * w[1] - u[2] * w[2])
+    c = u[0] * u[0] - u[1] * u[1] - u[2] * u[2]
+    q = half_b + math.copysign(math.sqrt(max(half_b * half_b - a * c, 0.0)), half_b)
+    return [num / den for num, den in ((q, a), (c, q)) if den != 0.0]
 
 
 def run(config: ExperimentConfig) -> ProbabilityTable:
@@ -341,26 +397,6 @@ def theta_sweep(
     ]
 
 
-def _golden_section_max(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
-    # unimodal on [lo, hi] by construction (bracket around a coarse-grid peak)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    mid = 0.5 * (a + b)
-    return mid, f(mid)
-
-
 def _bisect(f, a: float, b: float, xtol: float) -> float:
     """Root of f on [a, b] by bisection, step for step as scipy.optimize.bisect.
 
@@ -388,40 +424,33 @@ def _bisect(f, a: float, b: float, xtol: float) -> float:
     raise RuntimeError(f"bisection did not converge; last midpoint {xm!r}")
 
 
-def _grid_search(knowledge: float, gate_model: GateModel, mb_sign: int):
-    """Coarse 1024-point grid over [0, 2 pi), then golden-section on the peak.
-
-    Returns (scalar_b, thetas, values, peak, theta_star, b_star): B at one
-    angle, the grid, B on the grid, its argmax and the refined maximum.
-    """
-    _require_strength(knowledge)
+def _scalar_b(knowledge: float, gate_model: GateModel, mb_sign: int):
     meter = qcore.from_knowledge(knowledge)
-
-    def b_of(thetas: np.ndarray) -> np.ndarray:
-        return _estimates(*_probability_matrix(thetas, meter, gate_model).T, knowledge, mb_sign).b
 
     def scalar_b(theta: float) -> float:
         # python floats round exactly like numpy's, at a fraction of the cost
         row = _probability_matrix(np.array([theta]), meter, gate_model)[0]
         return _estimates(*row.tolist(), knowledge, mb_sign).b
 
-    thetas = np.linspace(0.0, _TWO_PI, _SEARCH_GRID, endpoint=False)
-    values = b_of(thetas)
-    peak = int(np.argmax(values))
-    theta_star, b_star = _golden_section_max(
-        scalar_b, thetas[peak] - _GRID_SPACING, thetas[peak] + _GRID_SPACING, _REFINE_XTOL
-    )
-    return scalar_b, thetas, values, peak, theta_star, b_star
+    return scalar_b
 
 
 def b_max(knowledge: float, gate_model: GateModel = IDEAL_GATE, mb_sign: int = +1) -> tuple[float, float]:
-    """Maximize B over theta: coarse 1024-point grid, then golden-section.
+    """Maximize B over theta in closed form.
 
-    Returns (theta_star, b_star) with theta_star in [0, 2 pi). For the ideal
-    gate b_star equals sqrt(2 - K^2) up to the angular refinement tolerance.
+    B = n.x / d.x with x = (1, cos theta, sin theta) and d.x > 0, so the peak
+    value t is the largest t for which (n - t d).x touches zero, and it is
+    reached where (n1 - t d1, n2 - t d2) points along (cos theta, sin theta).
+    Returns (theta_star, b_star) with theta_star in [0, 2 pi) and b_star the
+    engine's B there; for the ideal gate b_star equals sqrt(2 - K^2).
     """
-    theta_star, b_star = _grid_search(knowledge, gate_model, mb_sign)[4:]
-    return theta_star % _TWO_PI, b_star
+    _require_strength(knowledge)
+    n, d = _b_ratio(knowledge, gate_model, mb_sign)
+    t = max(_null_points(n, -d))
+    theta_star = math.atan2(n[2] - t * d[2], n[1] - t * d[1]) % _TWO_PI
+    if theta_star == _TWO_PI:    # a tiny negative angle rounds up to the full turn
+        theta_star = 0.0
+    return theta_star, _scalar_b(knowledge, gate_model, mb_sign)(theta_star)
 
 
 def violation_interval(
@@ -434,9 +463,16 @@ def violation_interval(
     the arc wraps through zero), or None when no violation exists. Endpoints
     are located by bisection to 1e-10.
     """
-    scalar_b, thetas, values, peak, theta_star, b_star = _grid_search(knowledge, gate_model, mb_sign)
+    theta_star, b_star = b_max(knowledge, gate_model, mb_sign)
     if b_star <= 1.0 + 1e-12:
         return None
+    scalar_b = _scalar_b(knowledge, gate_model, mb_sign)
+    meter = qcore.from_knowledge(knowledge)
+    thetas = np.linspace(0.0, _TWO_PI, _SEARCH_GRID, endpoint=False)
+    values = _estimates(*_probability_matrix(thetas, meter, gate_model).T, knowledge, mb_sign).b
+    peak = int(np.argmax(values))
+    # the peak's image nearest the grid peak, for arcs that miss the grid
+    theta_star -= _TWO_PI * round((theta_star - thetas[peak]) / _TWO_PI)
 
     def excess(theta: float) -> float:
         return scalar_b(theta % _TWO_PI) - 1.0

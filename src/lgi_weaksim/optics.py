@@ -14,8 +14,7 @@ Mode ordering: 0=signal H, 1=signal V, 2=meter H, 3=meter V,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,28 +48,6 @@ class PPBSSpec:
 # Canonical gate parameters: success probability 1/9 on coincidence.
 CENTRAL_PPBS = PPBSSpec(transmission_h=1.0, transmission_v=1.0 / 3.0)
 COMPENSATOR_PPBS = PPBSSpec(transmission_h=1.0 / 3.0, transmission_v=1.0)
-
-
-@dataclass(frozen=True)
-class ModeAmplitudeTable:
-    """Two-photon output amplitudes keyed by unordered occupied-mode pairs.
-
-    A key (j, k) with j <= k is the event of one photon in mode j and one in
-    mode k; (j, j) is a doubly occupied mode. Tables produced by the full
-    expansion carry unit total probability; tables restricted to coincidence
-    outcomes carry the heralded success probability instead.
-    """
-
-    amplitudes: MappingProxyType = field(repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "amplitudes", MappingProxyType(dict(self.amplitudes)))
-
-    def total_probability(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
-
-    def amplitude(self, j: int, k: int) -> complex:
-        return self.amplitudes.get((min(j, k), max(j, k)), 0.0 + 0.0j)
 
 
 @dataclass(frozen=True)
@@ -149,47 +126,6 @@ def build_network(
 def _permanent_2x2(u: np.ndarray, rows: tuple[int, int], cols: tuple[int, int]) -> complex:
     # two-photon transition amplitude, bosonic exchange paths added coherently
     return u[rows[0], cols[0]] * u[rows[1], cols[1]] + u[rows[0], cols[1]] * u[rows[1], cols[0]]
-
-
-def two_photon_amplitudes(state, network: np.ndarray | None = None) -> ModeAmplitudeTable:
-    """Full two-photon output table for a polarization-qubit input state.
-
-    Amplitudes over all unordered output mode pairs, including ancilla and
-    doubly occupied outcomes; total probability is 1 for a unitary network.
-    Without an explicit network the default gate network is used.
-    """
-    if network is None:
-        network = build_network()
-    amps = np.asarray(getattr(state, "amplitudes", state), dtype=complex).reshape(4)
-    table: dict[tuple[int, int], complex] = {}
-    for weight, (i1, i2) in zip(amps, _BASIS_MODES):
-        if weight == 0.0:
-            continue
-        for j in range(N_MODES):
-            for k in range(j, N_MODES):
-                if j == k:
-                    amp = np.sqrt(2.0) * network[j, i1] * network[j, i2]
-                else:
-                    amp = _permanent_2x2(network, (j, k), (i1, i2))
-                if amp != 0.0:
-                    table[(j, k)] = table.get((j, k), 0.0 + 0.0j) + weight * amp
-    return ModeAmplitudeTable(table)
-
-
-def coincidence_amplitudes(state, network: np.ndarray | None = None) -> ModeAmplitudeTable:
-    """Two-photon output amplitudes restricted to coincidence outcomes.
-
-    Coincidence means exactly one photon in the signal arm and one in the
-    meter arm; the table's total probability is the heralded success
-    probability of the gate for this input.
-    """
-    full = two_photon_amplitudes(state, network)
-    restricted = {
-        (j, k): a
-        for (j, k), a in full.amplitudes.items()
-        if j in _SIGNAL_ARM and k in _METER_ARM
-    }
-    return ModeAmplitudeTable(restricted)
 
 
 def _coincidence_block(network: np.ndarray) -> np.ndarray:
@@ -278,35 +214,32 @@ def process_fidelity_to_cz(emap: EffectiveMap) -> float:
 
 
 def fit_visibility(target_bmax: float, knowledge: float, tol: float = 1e-6) -> float:
-    """Bisection for the visibility whose gate model peaks at a target B.
+    """The visibility whose gate model peaks at a target B, solved exactly.
 
-    Raises :class:`UnreachableTargetError` when the target lies outside the
-    closed range [b_max(visibility=0), b_max(visibility=1)] for this K.
+    The map is affine in the visibility xi, so with B(theta) = n.x / d.x the
+    vector p = n - target * d is affine in xi too, and the peak equals the
+    target where p0 + |(p1, p2)| = 0: a quadratic in xi. Raises
+    :class:`UnreachableTargetError` when the target lies outside the closed
+    range [b_max(visibility=0), b_max(visibility=1)] for this K.
     """
     from . import experiment  # local import; experiment depends on this module
 
-    def peak(xi: float) -> float:
-        gate = experiment.GateModel(kind="ppbs", visibility=xi)
-        return experiment.b_max(knowledge, gate)[1]
-
-    lo, hi = 0.0, 1.0
-    b_lo, b_hi = peak(lo), peak(hi)
+    gates = [experiment.GateModel(kind="ppbs", visibility=xi) for xi in (0.0, 1.0)]
+    b_lo, b_hi = (experiment.b_max(knowledge, gate)[1] for gate in gates)
     if not b_lo - tol <= target_bmax <= b_hi + tol:
         raise UnreachableTargetError(
             f"target b_max {target_bmax!r} unreachable; "
             f"range at K={knowledge!r} is [{b_lo!r}, {b_hi!r}]"
         )
     if abs(target_bmax - b_lo) <= tol:
-        return lo
+        return 0.0
     if abs(target_bmax - b_hi) <= tol:
-        return hi
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        b_mid = peak(mid)
-        if abs(b_mid - target_bmax) <= tol:
-            return mid
-        if b_mid < target_bmax:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        return 1.0
+    (n0, d0), (n1, d1) = (experiment._b_ratio(knowledge, gate, +1) for gate in gates)
+    u = n0 - target_bmax * d0           # p at xi = 0
+    w = (n1 - target_bmax * d1) - u     # its change from xi = 0 to xi = 1
+    # p0 < 0 where the peak meets the target, p0 > 0 where the minimum does;
+    # the peak's root nearest the middle is the one in [0, 1]
+    peaks = [xi for xi in experiment._null_points(u, w) if u[0] + xi * w[0] <= 0.0]
+    xi = min(peaks, key=lambda root: abs(root - 0.5))
+    return min(max(xi, 0.0), 1.0)

@@ -22,10 +22,6 @@ COVERAGE_Z = 1.96
 # The estimators hold counts as float64, which is exact only up to 2**53.
 MAX_PAIRS = 2**53
 
-_S1_SIGN = np.array([+1.0, +1.0, -1.0, -1.0])   # meter D minus meter A
-_S2_SIGN = np.array([+1.0, -1.0, +1.0, -1.0])   # signal D minus signal A
-_PRODUCT_SIGN = _S1_SIGN * _S2_SIGN
-
 
 @dataclass(frozen=True)
 class CountTable:
@@ -178,8 +174,7 @@ def _lg_arrays(
     make one BLAS dot call per row; gemv, einsum or a written-out sum add in
     another order and move the last bit of some rows.
     """
-    product_scale = knowledge if correlator_norm == "k" else 1.0
-    coeff = mb_sign * (_S1_SIGN / knowledge + _PRODUCT_SIGN / product_scale) - _S2_SIGN
+    coeff = experiment._contrast(knowledge, mb_sign, correlator_norm)
     total = counts.sum(axis=1)
     value = (counts[:, None, :] @ coeff[:, None])[:, 0, 0] / total
     gradient = (coeff - value[:, None]) / total[:, None]

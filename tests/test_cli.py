@@ -129,6 +129,10 @@ def test_quiet_flag_controls_progress_line(tmp_path, capsys):
         ("mc", "--theta", "0.5", "--seed", "-1", "--out", "x.csv"),
         ("mc", "--theta", "0.5", "--pairs", str(2**53 + 1), "--out", "x.csv"),
         ("mc", "--theta", "0.5", "--trials", "1000001", "--out", "x.csv"),
+        ("sweep", "--seed", "-1", "--out", "x.csv"),
+        ("fig3", "--seed", "-1", "--out", "x.csv"),
+        ("gate", "--seed", "-1", "--out", "x.csv"),
+        ("fig2", "--seed", "1.5", "--out-prefix", "x"),
     ],
 )
 def test_usage_errors_exit_two_without_output(argv, tmp_path, capsys, monkeypatch):
@@ -326,6 +330,29 @@ MC_GOLDEN = [
 def test_mc_bytes_match_golden_digests(argv, digest, tmp_path):
     out = tmp_path / "mc.csv"
     assert run_cli("mc", *argv, "--out", out, "--quiet") == 0
+    lines = out.read_bytes().splitlines(keepends=True)
+    body = b"".join(line for line in lines if not line.startswith(b"# out="))
+    assert hashlib.sha256(body).hexdigest() == digest
+
+
+# sha256 of `gate` and `fig3` files without their `# out=` line, as the grid
+# and golden-section search wrote them; the closed-form peak keeps every byte
+GATE_FIG3_GOLDEN = [
+    (("gate", "--visibility", "0"), "64d78ea1ab36a6df10fecd8355b4f218b5e1884a66b93543f916ee89f268876e"),
+    (("gate", "--visibility", "0.123456"), "497143ae878abff13aaa6513b94d3ef49846f9399a70ca99ce642a24369e9932"),
+    (("gate", "--visibility", "0.8"), "4bef78d40ebc2d75f0f4b002e71bfe7d9cc32cf31a41a68597212a06ea3d90f0"),
+    (("gate", "--visibility", "1"), "a892fd6555b313fe164b5bac956e488123c96d80bacc7e360f636c30acf83e2e"),
+    (("fig3",), "655072268bd0204a8580329d5611df9f75961103d86c7e074ae41541a318ac1a"),
+    # the B = 1 crossing at theta = 0 sits on a search-grid point
+    (("fig3", "--k-list", "0.177992", "--mb-sign=+"),
+     "d25a3d7d4ce63817ea6f7d20b2900fa464860ae16575968eabd4153654e831a0"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GATE_FIG3_GOLDEN)
+def test_gate_and_fig3_bytes_match_golden_digests(argv, digest, tmp_path):
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--out", out, "--quiet") == 0
     lines = out.read_bytes().splitlines(keepends=True)
     body = b"".join(line for line in lines if not line.startswith(b"# out="))
     assert hashlib.sha256(body).hexdigest() == digest

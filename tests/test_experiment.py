@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from lgi_weaksim import experiment, qcore
@@ -403,6 +403,33 @@ def test_violation_interval_brackets_crossings_near_grid_points(knowledge, mb_si
 def test_violation_interval_closed_under_fully_mixed_gate():
     gate = experiment.GateModel(kind="ppbs", visibility=0.0)
     assert experiment.violation_interval(K_STRONG, gate) is None
+
+
+ORACLE_GRID = np.linspace(0.0, TWO_PI, 4096, endpoint=False).tolist()
+
+
+def oracle_b(theta, knowledge, gate, mb_sign):
+    if gate.kind == "ideal":
+        return oracles.b_closed(theta, knowledge, mb_sign)
+    return oracles.ppbs_b_closed(theta, knowledge, gate.visibility, mb_sign)
+
+
+@given(st.floats(-9.0, 0.0), visibilities, st.sampled_from(("ideal", "ppbs")), st.sampled_from((+1, -1)))
+@example(log_k=-9.0, xi=0.0, kind="ppbs", mb_sign=+1)
+@example(log_k=0.0, xi=0.5, kind="ppbs", mb_sign=-1)
+# the peak direction's angle is -5e-21, and -5e-21 % 2 pi rounds to 2 pi
+@example(log_k=math.log10(0.9999999999), xi=0.0, kind="ppbs", mb_sign=+1)
+@settings(deadline=None, max_examples=100)
+def test_solvers_hold_over_the_whole_domain(log_k, xi, kind, mb_sign):
+    # K log-uniform in [1e-9, 1]; the ideal gate ignores xi
+    knowledge = max(10.0**log_k, experiment.MIN_KNOWLEDGE)
+    gate = experiment.IDEAL_GATE if kind == "ideal" else experiment.GateModel(kind="ppbs", visibility=xi)
+    tol = 1e-8 + 1e-13 / knowledge
+    theta_star, b_star = experiment.b_max(knowledge, gate, mb_sign)
+    assert 0.0 <= theta_star < TWO_PI
+    assert b_star == pytest.approx(oracle_b(theta_star, knowledge, gate, mb_sign), abs=tol)
+    assert b_star >= max(oracle_b(theta, knowledge, gate, mb_sign) for theta in ORACLE_GRID) - tol
+    experiment.violation_interval(knowledge, gate, mb_sign)
 
 
 @given(thetas, strengths, visibilities, st.sampled_from((+1, -1)))

@@ -64,52 +64,31 @@ def test_compensator_attenuating_both_polarizations_rejected():
         optics.build_network(signal_compensator=optics.PPBSSpec(0.5, 0.5))
 
 
-@given(thetas, strengths)
-@settings(deadline=None)
-def test_two_photon_output_conserves_probability(theta, knowledge):
-    table = optics.two_photon_amplitudes(joint_state(theta, knowledge))
-    assert table.total_probability() == pytest.approx(1.0, abs=1e-12)
+# coincidence outcomes: one photon per output arm, (signal mode, meter mode),
+# in the order of the two-qubit basis (HH, HV, VH, VV)
+COINCIDENCE_PAIRS = [(0, 2), (0, 3), (1, 2), (1, 3)]
 
 
-@given(thetas, strengths)
-@settings(deadline=None)
-def test_two_photon_output_matches_oracle(theta, knowledge):
-    state = joint_state(theta, knowledge)
-    table = optics.two_photon_amplitudes(state)
-    expected = oracles.two_photon_output(state.amplitudes.real, oracles.ppbs_network())
-    for modes, amp in expected.items():
-        assert table.amplitude(*modes) == pytest.approx(amp, abs=1e-12)
-
-
-def basis_joint(index):
-    amps = np.zeros(4)
-    amps[index] = 1.0
-    return qcore.JointState(amps)
-
-
-def test_coincidence_amplitudes_on_basis_inputs():
-    # HH passes both compensators: (1/sqrt3)^2; VV interferes: t^2 - r^2 = -1/3
-    hh = optics.coincidence_amplitudes(basis_joint(0))
-    assert hh.amplitude(0, 2) == pytest.approx(1.0 / 3.0, abs=1e-12)
-    vv = optics.coincidence_amplitudes(basis_joint(3))
-    assert vv.amplitude(1, 3) == pytest.approx(-1.0 / 3.0, abs=1e-12)
+def test_two_photon_output_matches_oracle():
+    # column i of the shipped coincidence block is the oracle's full two-photon
+    # expansion of basis input i, restricted to coincidence outcomes
+    block = optics._coincidence_block(optics.build_network())
+    for col in range(4):
+        expected = oracles.two_photon_output(np.eye(4)[col], oracles.ppbs_network())
+        for row, modes in enumerate(COINCIDENCE_PAIRS):
+            assert block[row, col] == pytest.approx(expected.get(modes, 0.0), abs=1e-12)
 
 
 def test_coincidence_block_is_diagonal_sign_flip():
-    # column i of the coincidence block read off by feeding basis states
-    block = np.zeros((4, 4), dtype=complex)
-    pairs = [(0, 2), (0, 3), (1, 2), (1, 3)]
-    for col in range(4):
-        table = optics.coincidence_amplitudes(basis_joint(col))
-        for row, modes in enumerate(pairs):
-            block[row, col] = table.amplitude(*modes)
+    # HH passes both compensators: (1/sqrt3)^2; VV interferes: t^2 - r^2 = -1/3
+    block = optics._coincidence_block(optics.build_network())
     np.testing.assert_allclose(block, np.diag([1.0, 1.0, 1.0, -1.0]) / 3.0, atol=1e-12)
 
 
 def test_diagonal_input_coincidence_probability():
     d = qcore.PureState(qcore.BasisOutcome.D.ket())
-    table = optics.coincidence_amplitudes(qcore.tensor(d, d))
-    assert table.total_probability() == pytest.approx(1.0 / 9.0, abs=1e-12)
+    out = optics._coincidence_block(optics.build_network()) @ qcore.tensor(d, d).amplitudes
+    assert np.sum(np.abs(out) ** 2) == pytest.approx(1.0 / 9.0, abs=1e-12)
 
 
 def test_effective_map_rejects_out_of_range_visibility():
@@ -223,6 +202,16 @@ def test_fit_visibility_recovers_known_setting():
     gate = experiment.GateModel(kind="ppbs", visibility=0.7)
     target = experiment.b_max(K_STRONG, gate)[1]
     assert optics.fit_visibility(target, K_STRONG) == pytest.approx(0.7, abs=1e-4)
+
+
+def test_fit_visibility_builds_only_the_endpoint_maps():
+    gate = experiment.GateModel(kind="ppbs", visibility=0.7)
+    target = experiment.b_max(K_STRONG, gate)[1]
+    experiment._gate_map.cache_clear()
+    xi = optics.fit_visibility(target, K_STRONG)
+    # the fit needs the maps at visibility 0 and 1 only, not one per step
+    assert experiment._gate_map.cache_info().misses <= 2
+    assert xi == pytest.approx(0.7, abs=1e-9)
 
 
 def test_fit_visibility_endpoint_returns_unity():
