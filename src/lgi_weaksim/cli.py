@@ -218,15 +218,14 @@ def _cmd_fig3(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _check_steps(parser, args.theta_steps)
     mb_sign = _sign_value(args.mb_sign)
 
-    grid = experiment.ThetaGrid(0.0, _TWO_PI, args.theta_steps)
-    thetas = grid.values()
+    thetas = np.linspace(0.0, _TWO_PI, args.theta_steps)
     header = ["theta_deg" if args.degrees else "theta_rad"]
     columns = [np.degrees(thetas) if args.degrees else thetas]
     trailer = []
     for k in k_list:
-        sweep = experiment.theta_sweep(k, mb_sign, experiment.IDEAL_GATE, grid)
+        probs = experiment._probability_matrix(thetas, qcore.from_knowledge(k), experiment.IDEAL_GATE)
         header.append(f"b_k{k:g}")
-        columns.append(np.array([record.b for _, record, _ in sweep]))
+        columns.append(experiment._estimates(*probs.T, k, mb_sign).b)
         trailer.append(_interval_comment(f"{k:g}", experiment.violation_interval(k, mb_sign=mb_sign)))
     # zero-strength limit is analytic; the 1/K calibration forbids simulating K=0
     header.append("b_k0")

@@ -5,15 +5,25 @@ the controlled-sign interaction (ideal unitary or the PPBS gate model with a
 photon-visibility parameter), reads the meter out in the D/A basis (the
 variable-strength S1 measurement) and the signal in the D/A basis (the
 projective S2 measurement). All estimators below are functions of the four
-joint outcome probabilities.
+joint outcome probabilities (p_dd, p_da, p_ad, p_aa), first index the meter.
 
 Conventions: the three-time correlator is
 
-    B = mb_sign * <S1> + mb_sign * <S1 S2> - <S2>
+    B = Mb * <S1> + Mb * <S1 S2> - <S2>,   Mb = mb_sign * S1,
 
-with the preparation assigned the deterministic value 1, and the weak value
-is the K-calibrated meter asymmetry conditioned on post-selecting the signal
-in D (post-selecting on A is available as a secondary output).
+with the preparation assigned the deterministic value 1 and both meter
+terms calibrated by 1/K: <S1> = (p_dd + p_da - p_ad - p_aa) / K and
+<S1 S2> = (p_dd - p_da - p_ad + p_aa) / K. The weak value is the
+K-calibrated meter asymmetry on the signal-D post-selection,
+wv = (p_dd - p_ad) / (K p_D) with p_D = p_dd + p_ad.
+
+The paper's one-to-one correspondence between strange weak values and
+violation is then an identity, for any gate channel and for count
+estimators alike (p replaced by n / N):
+
+    B - 1 = 2 p_D (mb_sign * wv - 1),
+
+so wherever p_D > 0, B > 1 exactly when mb_sign * wv > 1.
 """
 
 from __future__ import annotations
@@ -75,15 +85,12 @@ class ExperimentConfig:
     meter: qcore.MeterSetting
     mb_sign: int = +1                 # Mb = +S1 or -S1
     gate_model: GateModel = IDEAL_GATE
-    correlator_norm: str = "k"        # "k": divide <S1 S2> by K; "raw": do not
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta!r}")
         if self.mb_sign not in (+1, -1):
             raise ValueError(f"mb_sign must be +1 or -1, got {self.mb_sign!r}")
-        if self.correlator_norm not in ("k", "raw"):
-            raise ValueError(f"correlator_norm must be 'k' or 'raw', got {self.correlator_norm!r}")
 
 
 @dataclass(frozen=True)
@@ -109,10 +116,6 @@ class ProbabilityTable:
     def postselect_d(self) -> float:
         """Probability of finding the signal in D (the post-selection branch)."""
         return self.p_dd + self.p_ad
-
-    @property
-    def postselect_a(self) -> float:
-        return self.p_da + self.p_aa
 
 
 @dataclass(frozen=True)
@@ -174,6 +177,8 @@ def _require_strength(knowledge: float) -> float:
             f"measurement strength K={knowledge!r} is below {MIN_KNOWLEDGE}; "
             "the 1/K calibration is undefined"
         )
+    if not knowledge <= 1.0:    # also NaN
+        raise ValueError(f"measurement strength K must lie in [{MIN_KNOWLEDGE}, 1], got {knowledge!r}")
     return knowledge
 
 
@@ -250,10 +255,9 @@ def _trig_coefficients(knowledge: float, gate_model: GateModel) -> tuple[np.ndar
     return num, np.real(np.trace(out, axis1=1, axis2=2))
 
 
-def _contrast(knowledge: float, mb_sign: int, correlator_norm: str = "k") -> np.ndarray:
+def _contrast(knowledge: float, mb_sign: int) -> np.ndarray:
     """B as a contrast vector over (dd, da, ad, aa): B = coeff @ p."""
-    product_scale = knowledge if correlator_norm == "k" else 1.0
-    return mb_sign * (_S1_SIGN / knowledge + _PRODUCT_SIGN / product_scale) - _S2_SIGN
+    return mb_sign * (_S1_SIGN / knowledge + _PRODUCT_SIGN / knowledge) - _S2_SIGN
 
 
 def _b_ratio(knowledge: float, gate_model: GateModel, mb_sign: int) -> tuple[np.ndarray, np.ndarray]:
@@ -291,8 +295,7 @@ class _Estimates(NamedTuple):
     wv: float | np.ndarray         # S1 weak value on that branch; NaN if degenerate
 
 
-def _estimates(p_dd, p_da, p_ad, p_aa, knowledge: float, mb_sign: int = +1,
-               normalize_by_k: bool = True) -> _Estimates:
+def _estimates(p_dd, p_da, p_ad, p_aa, knowledge: float, mb_sign: int = +1) -> _Estimates:
     """Every estimator as a contrast of the joint probabilities, written once.
 
     Takes floats or equal-length arrays; the caller has validated K. The
@@ -300,8 +303,7 @@ def _estimates(p_dd, p_da, p_ad, p_aa, knowledge: float, mb_sign: int = +1,
     """
     s1 = ((p_dd + p_da) - (p_ad + p_aa)) / knowledge
     s2 = (p_dd + p_ad) - (p_da + p_aa)
-    raw = p_dd - p_da - p_ad + p_aa
-    s1s2 = raw / knowledge if normalize_by_k else raw
+    s1s2 = (p_dd - p_da - p_ad + p_aa) / knowledge
     b = mb_sign * s1 + mb_sign * s1s2 - s2
     psel = p_dd + p_ad
     wv = np.divide(p_dd - p_ad, knowledge * psel, out=np.full(np.shape(psel), np.nan),
@@ -309,9 +311,8 @@ def _estimates(p_dd, p_da, p_ad, p_aa, knowledge: float, mb_sign: int = +1,
     return _Estimates(s1, s2, s1s2, b, psel, wv)
 
 
-def _table_estimates(table: ProbabilityTable, knowledge: float, mb_sign: int = +1,
-                     normalize_by_k: bool = True) -> _Estimates:
-    return _estimates(table.p_dd, table.p_da, table.p_ad, table.p_aa, knowledge, mb_sign, normalize_by_k)
+def _table_estimates(table: ProbabilityTable, knowledge: float, mb_sign: int = +1) -> _Estimates:
+    return _estimates(table.p_dd, table.p_da, table.p_ad, table.p_aa, knowledge, mb_sign)
 
 
 def s1_mean(table: ProbabilityTable, knowledge: float) -> float:
@@ -324,41 +325,25 @@ def s2_mean(table: ProbabilityTable) -> float:
     return _table_estimates(table, 1.0).s2  # S2 does not involve K
 
 
-def s1s2_correlator(table: ProbabilityTable, knowledge: float, normalize_by_k: bool = True) -> float:
-    """Product correlator of the meter and signal readouts.
-
-    With ``normalize_by_k`` the +-1 product is divided by K, matching the
-    calibration of the weak S1 estimator; the raw variant is kept because
-    the two differ under imperfect gates and finite counts (for the ideal
-    gate both vanish identically).
-    """
-    if not normalize_by_k:
-        return _table_estimates(table, 1.0, normalize_by_k=False).s1s2  # K unused
+def s1s2_correlator(table: ProbabilityTable, knowledge: float) -> float:
+    """Product correlator of the meter and signal readouts, divided by K like S1."""
     return _table_estimates(table, _require_strength(knowledge)).s1s2
 
 
 def lg_b(config: ExperimentConfig) -> LGRecord:
     """Assemble the generalized Leggett-Garg correlator for one setting."""
     knowledge = _require_strength(config.meter.knowledge)
-    est = _table_estimates(run(config), knowledge, config.mb_sign, config.correlator_norm == "k")
+    est = _table_estimates(run(config), knowledge, config.mb_sign)
     return LGRecord(s1_mean=est.s1, s2_mean=est.s2, s1s2_corr=est.s1s2, b=est.b, mb_sign=config.mb_sign)
 
 
-def weak_value(config: ExperimentConfig, postselect: str = "D") -> WeakValueRecord:
-    """K-calibrated weak value conditioned on the signal post-selection.
+def weak_value(config: ExperimentConfig) -> WeakValueRecord:
+    """K-calibrated weak value on the signal-D post-selection.
 
-    ``postselect="D"`` is the protocol's branch; "A" is exposed for
-    completeness. The configured mb_sign multiplies the weak value.
+    The configured mb_sign multiplies the weak value.
     """
     knowledge = _require_strength(config.meter.knowledge)
-    table = run(config)
-    if postselect == "D":
-        est = _table_estimates(table, knowledge)
-    elif postselect == "A":
-        # swapping the signal labels turns the A branch into the D branch
-        est = _estimates(table.p_da, table.p_dd, table.p_aa, table.p_ad, knowledge)
-    else:
-        raise ValueError(f"postselect must be 'D' or 'A', got {postselect!r}")
+    est = _table_estimates(run(config), knowledge)
     if est.psel < MIN_POSTSELECTION:
         raise DegenerateConditioningError(
             f"post-selection probability {est.psel!r} below {MIN_POSTSELECTION}"
@@ -371,7 +356,6 @@ def theta_sweep(
     mb_sign: int = +1,
     gate_model: GateModel = IDEAL_GATE,
     grid: ThetaGrid = FULL_TURN,
-    correlator_norm: str = "k",
 ) -> list[tuple[float, LGRecord, WeakValueRecord]]:
     """Evaluate the correlator and weak value on a uniform angle grid.
 
@@ -385,7 +369,7 @@ def theta_sweep(
     thetas = grid.values()
     probs = _probability_matrix(thetas, meter, gate_model)
     # sweep rows report the weak value of S1 itself; the Mb sign enters b only
-    est = _estimates(*probs.T, knowledge, mb_sign, correlator_norm == "k")
+    est = _estimates(*probs.T, knowledge, mb_sign)
     return [
         (
             float(thetas[i]),

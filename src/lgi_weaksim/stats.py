@@ -163,9 +163,7 @@ def _poisson_variances(counts: np.ndarray) -> np.ndarray:
     return np.maximum(counts, 1.0)
 
 
-def _lg_arrays(
-    counts: np.ndarray, knowledge: float, mb_sign: int, correlator_norm: str
-) -> tuple[np.ndarray, np.ndarray]:
+def _lg_arrays(counts: np.ndarray, knowledge: float, mb_sign: int) -> tuple[np.ndarray, np.ndarray]:
     """B and its delta-method sigma for each row of an (n, 4) count matrix.
 
     The estimator is linear in the count fractions, so the delta method is
@@ -174,7 +172,7 @@ def _lg_arrays(
     make one BLAS dot call per row; gemv, einsum or a written-out sum add in
     another order and move the last bit of some rows.
     """
-    coeff = experiment._contrast(knowledge, mb_sign, correlator_norm)
+    coeff = experiment._contrast(knowledge, mb_sign)
     total = counts.sum(axis=1)
     value = (counts[:, None, :] @ coeff[:, None])[:, 0, 0] / total
     gradient = (coeff - value[:, None]) / total[:, None]
@@ -210,19 +208,12 @@ def _significances(values, sigmas, bound: float):
         return np.where(sigmas > 0.0, (values - bound) / sigmas, np.nan)
 
 
-def estimate_lg(
-    counts: CountTable,
-    knowledge: float,
-    mb_sign: int = +1,
-    correlator_norm: str = "k",
-) -> EstimateWithError:
+def estimate_lg(counts: CountTable, knowledge: float, mb_sign: int = +1) -> EstimateWithError:
     """Correlator estimate B = mb*s1 + mb*s1s2 - s2 from raw counts."""
     experiment._require_strength(knowledge)
     if mb_sign not in (+1, -1):
         raise ValueError(f"mb_sign must be +1 or -1, got {mb_sign!r}")
-    if correlator_norm not in ("k", "raw"):
-        raise ValueError(f"correlator_norm must be 'k' or 'raw', got {correlator_norm!r}")
-    value, sigma = _lg_arrays(counts.as_array()[None], knowledge, mb_sign, correlator_norm)
+    value, sigma = _lg_arrays(counts.as_array()[None], knowledge, mb_sign)
     return EstimateWithError(value=float(value[0]), sigma=float(sigma[0]))
 
 
@@ -256,11 +247,9 @@ def run_trials(plan: TrialPlan, config: experiment.ExperimentConfig) -> TrialSum
     """
     knowledge = experiment._require_strength(config.meter.knowledge)
     table = experiment.run(config)
-    true_b = experiment._table_estimates(
-        table, knowledge, config.mb_sign, config.correlator_norm == "k"
-    ).b
+    true_b = experiment._table_estimates(table, knowledge, config.mb_sign).b
     counts = _sample_trials(table, plan)
-    b, b_sigma = _lg_arrays(counts, knowledge, config.mb_sign, config.correlator_norm)
+    b, b_sigma = _lg_arrays(counts, knowledge, config.mb_sign)
     wv, wv_sigma = _weak_value_arrays(counts, knowledge, config.mb_sign)
     spread = float(b.std(ddof=1)) if plan.n_trials > 1 else 0.0
     covered = np.abs(b - true_b) <= COVERAGE_Z * b_sigma

@@ -326,13 +326,17 @@ MC_GOLDEN = [
 ]
 
 
+def body_digest(path):
+    """sha256 of an emitted file without its `# out=` line."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    return hashlib.sha256(b"".join(line for line in lines if not line.startswith(b"# out="))).hexdigest()
+
+
 @pytest.mark.parametrize("argv,digest", MC_GOLDEN)
 def test_mc_bytes_match_golden_digests(argv, digest, tmp_path):
     out = tmp_path / "mc.csv"
     assert run_cli("mc", *argv, "--out", out, "--quiet") == 0
-    lines = out.read_bytes().splitlines(keepends=True)
-    body = b"".join(line for line in lines if not line.startswith(b"# out="))
-    assert hashlib.sha256(body).hexdigest() == digest
+    assert body_digest(out) == digest
 
 
 # sha256 of `gate` and `fig3` files without their `# out=` line, as the grid
@@ -353,6 +357,36 @@ GATE_FIG3_GOLDEN = [
 def test_gate_and_fig3_bytes_match_golden_digests(argv, digest, tmp_path):
     out = tmp_path / "out.csv"
     assert run_cli(*argv, "--out", out, "--quiet") == 0
-    lines = out.read_bytes().splitlines(keepends=True)
-    body = b"".join(line for line in lines if not line.startswith(b"# out="))
-    assert hashlib.sha256(body).hexdigest() == digest
+    assert body_digest(out) == digest
+
+
+# sha256 of `sweep` and `fig3` files without their `# out=` line, as they were
+# written while fig3 read its columns from theta_sweep's records; the shared
+# batched path keeps every byte
+SWEEP_FIG3_GOLDEN = [
+    (("sweep",), "216344001adf510cc5d637d4a22db6cf8f5e68b4beb096bdcd4debbc294780d5"),
+    (("sweep", "--gate", "ppbs", "--visibility", "0.7", "--mb-sign=-"),
+     "e9512fe102161433d9debb377e1da991de603622d38a484c16a1c39f90b4c2df"),
+    (("sweep", "--degrees"), "44e02994b04a493985f9c4ce5771f35ee9a44e19465d2e7c7758f5ec9da7b705"),
+    # the 1/K terms show the last bit of each probability
+    (("sweep", "--k", "1e-09", "--theta-steps", "64", "--gate", "ppbs", "--visibility", "0.3"),
+     "64bddd1f21844900f196df407452f073bd82e4c3dd032ae62829cfd96eb9edcf"),
+    (("fig3", "--degrees"), "804088509bd7c341f1f8884e3b3b5d17ba6101d0c05bc58c0551cad0ecf0b206"),
+    (("fig3", "--k-list", "1e-09,1", "--theta-steps", "64", "--mb-sign=-"),
+     "8dafed54a40696815836c906cf8a64ed98307ea6ba090802353ce396431cdc3f"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", SWEEP_FIG3_GOLDEN)
+def test_sweep_and_fig3_bytes_match_golden_digests(argv, digest, tmp_path):
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--out", out, "--quiet") == 0
+    assert body_digest(out) == digest
+
+
+def test_fig2_bytes_match_golden_digests(tmp_path):
+    assert run_cli("fig2", "--out-prefix", tmp_path / "fig2", "--quiet") == 0
+    assert [body_digest(tmp_path / f"fig2_{suffix}.csv") for suffix in "ab"] == [
+        "5e9d6a6f6a1e54337b27658255a5fc723ee28d7ab991d033099581bb74cbe41d",
+        "c9f6faee16ec19e6b2a03c2460bbb46590f8a3064433ac945184c5dab2af877b",
+    ]

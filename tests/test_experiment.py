@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
-from lgi_weaksim import experiment, qcore
+from lgi_weaksim import experiment, qcore, stats
 from lgi_weaksim.errors import DegenerateConditioningError, ZeroStrengthError
 
 K_STRONG = 0.5445
@@ -162,13 +162,6 @@ def test_s2_mean_visibility_factor():
     assert experiment.s2_mean(table) == pytest.approx(0.987149411183535, abs=1e-12)
 
 
-def test_s1s2_raw_variant_matches_k_variant_up_to_scaling():
-    table = experiment.run(config_for(2.0, K_STRONG))
-    raw = experiment.s1s2_correlator(table, K_STRONG, normalize_by_k=False)
-    scaled = experiment.s1s2_correlator(table, K_STRONG, normalize_by_k=True)
-    assert scaled == pytest.approx(raw / K_STRONG, abs=1e-15)
-
-
 def test_lg_b_frozen_values():
     assert experiment.lg_b(config_for(7.0 * math.pi / 4.0, K_STRONG)).b == pytest.approx(
         B_7PI4_STRONG, abs=1e-12
@@ -223,19 +216,12 @@ def test_weak_value_closed_form_and_postselection(theta, knowledge):
     assert record.wv == pytest.approx(oracles.wv_closed(theta, knowledge), abs=1e-9)
 
 
-def test_weak_value_sign_convention_and_secondary_branch():
+def test_weak_value_sign_convention():
     config_plus = config_for(0.8, K_STRONG, mb_sign=+1)
     config_minus = config_for(0.8, K_STRONG, mb_sign=-1)
     assert experiment.weak_value(config_minus).wv == pytest.approx(
         -experiment.weak_value(config_plus).wv, abs=1e-12
     )
-    table = experiment.run(config_plus)
-    record_a = experiment.weak_value(config_plus, postselect="A")
-    assert record_a.postselection_probability == pytest.approx(
-        table.p_da + table.p_aa, abs=1e-12
-    )
-    with pytest.raises(ValueError):
-        experiment.weak_value(config_plus, postselect="H")
 
 
 def test_weak_value_degenerate_postselection_raises():
@@ -273,6 +259,35 @@ def test_sign_symmetry(theta, knowledge):
     )
 
 
+def assert_violation_is_strange_weak_value(b, p_d, signed_wv, knowledge):
+    """B - 1 = 2 p_D (Mb wv - 1) wherever the post-selection kept something."""
+    kept = np.isfinite(signed_wv)
+    assert (p_d[kept] > 0.0).all()
+    gap = np.abs((b - 1.0) - 2.0 * p_d * (signed_wv - 1.0)) * knowledge
+    assert (gap[kept] <= 1e-13).all(), gap[kept].max()
+    clear = kept & (np.abs(b - 1.0) * knowledge > 1e-13)
+    assert ((b > 1.0) == (signed_wv > 1.0))[clear].all()
+
+
+@given(st.floats(-9.0, 0.0), visibilities, st.sampled_from(("ideal", "ppbs")), st.sampled_from((+1, -1)),
+       st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=32), st.sampled_from((1, 100, 10**6)))
+@settings(deadline=None, max_examples=100)
+def test_violation_is_the_strange_weak_value(log_k, xi, kind, mb_sign, angles, n_pairs):
+    # the paper's one-to-one correspondence, for any gate, exact or counted
+    knowledge = max(10.0**log_k, experiment.MIN_KNOWLEDGE)
+    gate = experiment.IDEAL_GATE if kind == "ideal" else experiment.GateModel(kind="ppbs", visibility=xi)
+    probs = experiment._probability_matrix(np.array(angles), qcore.from_knowledge(knowledge), gate)
+    est = experiment._estimates(*probs.T, knowledge, mb_sign)
+    assert_violation_is_strange_weak_value(est.b, est.psel, mb_sign * est.wv, knowledge)
+    plan = stats.TrialPlan(n_pairs=n_pairs, n_trials=4)
+    for row in probs:
+        counts = stats._sample_trials(experiment.ProbabilityTable(*row.tolist()), plan)
+        b, _ = stats._lg_arrays(counts, knowledge, mb_sign)
+        signed_wv, _ = stats._weak_value_arrays(counts, knowledge, mb_sign)
+        p_d = (counts[:, 0] + counts[:, 2]) / counts.sum(axis=1)
+        assert_violation_is_strange_weak_value(b, p_d, signed_wv, knowledge)
+
+
 def test_theta_grid_arithmetic_and_validation():
     assert experiment.ThetaGrid(0.0, TWO_PI, 3).values() == pytest.approx(
         [0.0, math.pi, TWO_PI]
@@ -299,8 +314,6 @@ def test_experiment_config_validation():
         experiment.ExperimentConfig(theta=math.nan, meter=meter)
     with pytest.raises(ValueError):
         experiment.ExperimentConfig(theta=0.1, meter=meter, mb_sign=2)
-    with pytest.raises(ValueError):
-        experiment.ExperimentConfig(theta=0.1, meter=meter, correlator_norm="both")
 
 
 def test_theta_sweep_rows_match_scalar_entry_points():
@@ -444,14 +457,6 @@ def test_ppbs_gate_matches_dense_channel_oracle(theta, knowledge, xi, mb_sign):
     assert experiment.lg_b(config).b == pytest.approx(
         oracles.ppbs_b_closed(theta, knowledge, xi, mb_sign), abs=1e-10
     )
-
-
-def test_correlator_norms_diverge_under_imperfect_gate():
-    gate = experiment.GateModel(kind="ppbs", visibility=0.5)
-    with_k = experiment.lg_b(config_for(2.0, K_STRONG, gate_model=gate))
-    raw = experiment.lg_b(config_for(2.0, K_STRONG, gate_model=gate, correlator_norm="raw"))
-    assert abs(with_k.b - raw.b) > 1e-3
-    assert raw.b == pytest.approx(raw.s1_mean + raw.s1s2_corr - raw.s2_mean, abs=1e-12)
 
 
 def test_lg_record_rejects_inconsistent_fields():

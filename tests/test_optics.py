@@ -219,6 +219,22 @@ def test_fit_visibility_endpoint_returns_unity():
     assert optics.fit_visibility(target, K_STRONG) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("knowledge, xi", [
+    # the quadratic's roots are round-off here, and none lies on the peak's branch
+    (1.652394712316554e-08, 5.511704740692165e-13),
+    # round-off put the target 2e-15 above b_max(visibility=1)
+    (6.777931354613022e-08, 0.9999999999999931),
+    # and 1e-12 below b_max(visibility=0)
+    (1.2063713241572562e-05, 8.67544739528498e-16),
+])
+def test_fit_visibility_round_trips_near_the_ends_with_zero_tol(knowledge, xi):
+    target = experiment.b_max(knowledge, experiment.GateModel(kind="ppbs", visibility=xi))[1]
+    fitted = optics.fit_visibility(target, knowledge, tol=0.0)
+    assert 0.0 <= fitted <= 1.0
+    reached = experiment.b_max(knowledge, experiment.GateModel(kind="ppbs", visibility=fitted))[1]
+    assert abs(reached - target) <= 1e-8 + 1e-13 / knowledge
+
+
 def test_fit_visibility_rejects_unreachable_targets():
     with pytest.raises(UnreachableTargetError, match="reachable"):
         optics.fit_visibility(1.4, K_STRONG)

@@ -120,16 +120,13 @@ def test_estimate_lg_concentrated_counts():
     assert math.isfinite(estimate.sigma) and estimate.sigma > 0.0
 
 
-@given(counts_cells, counts_cells, counts_cells, counts_cells, strengths,
-       st.sampled_from([+1, -1]), st.sampled_from(["k", "raw"]))
+@given(counts_cells, counts_cells, counts_cells, counts_cells, strengths, st.sampled_from([+1, -1]))
 @settings(deadline=None)
-def test_estimate_lg_matches_count_oracle(n_dd, n_da, n_ad, n_aa, knowledge, mb_sign, norm):
+def test_estimate_lg_matches_count_oracle(n_dd, n_da, n_ad, n_aa, knowledge, mb_sign):
     assume(n_dd + n_da + n_ad + n_aa > 0)
     counts = stats.CountTable(n_dd, n_da, n_ad, n_aa)
-    estimate = stats.estimate_lg(counts, knowledge, mb_sign, norm)
-    expected = oracles.b_from_count_vector(
-        counts.as_array(), knowledge, mb_sign, normalize_by_k=(norm == "k")
-    )
+    estimate = stats.estimate_lg(counts, knowledge, mb_sign)
+    expected = oracles.b_from_count_vector(counts.as_array(), knowledge, mb_sign)
     assert estimate.value == pytest.approx(expected, abs=1e-9, rel=1e-9)
 
 
@@ -137,15 +134,11 @@ def test_estimate_lg_sigma_matches_numerical_propagation():
     vec = (321, 98, 145, 67)
     counts = stats.CountTable(*vec)
     for mb_sign in (+1, -1):
-        for norm in ("k", "raw"):
-            estimate = stats.estimate_lg(counts, K_STRONG, mb_sign, norm)
-            expected = oracles.finite_difference_sigma(
-                lambda n: oracles.b_from_count_vector(
-                    n, K_STRONG, mb_sign, normalize_by_k=(norm == "k")
-                ),
-                vec,
-            )
-            assert estimate.sigma == pytest.approx(expected, rel=1e-8)
+        estimate = stats.estimate_lg(counts, K_STRONG, mb_sign)
+        expected = oracles.finite_difference_sigma(
+            lambda n: oracles.b_from_count_vector(n, K_STRONG, mb_sign), vec
+        )
+        assert estimate.sigma == pytest.approx(expected, rel=1e-8)
 
 
 def test_estimate_lg_validation():
@@ -154,8 +147,22 @@ def test_estimate_lg_validation():
         stats.estimate_lg(counts, 0.0)
     with pytest.raises(ValueError):
         stats.estimate_lg(counts, K_STRONG, mb_sign=2)
-    with pytest.raises(ValueError):
-        stats.estimate_lg(counts, K_STRONG, correlator_norm="linear")
+
+
+@pytest.mark.parametrize("knowledge", [math.nan, math.inf, 2.0, 1.0 + 1e-15])
+@pytest.mark.parametrize("estimator", [
+    lambda k: experiment.s1_mean(experiment.run(config_for(1.0, K_STRONG)), k),
+    lambda k: experiment.s1s2_correlator(experiment.run(config_for(1.0, K_STRONG)), k),
+    lambda k: stats.estimate_lg(stats.CountTable(5, 3, 2, 1), k),
+    lambda k: stats.estimate_weak_value(stats.CountTable(5, 3, 2, 1), k),
+], ids=["s1_mean", "s1s2_correlator", "estimate_lg", "estimate_weak_value"])
+def test_strength_outside_the_domain_is_rejected(estimator, knowledge):
+    # outside [1e-9, 1] the 1/K calibration describes no meter, yet each of
+    # these returns a number unless the strength is checked
+    with pytest.raises(ValueError, match=r"\[1e-09, 1\]"):
+        estimator(knowledge)
+    with pytest.raises(ZeroStrengthError):
+        estimator(-math.inf)
 
 
 def test_estimate_weak_value_balanced_counts_is_zero():

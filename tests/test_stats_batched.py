@@ -70,19 +70,18 @@ count_rows = st.tuples(cells, cells, cells, cells).filter(lambda row: sum(row) >
 log_strengths = st.floats(-9.0, 0.0).map(lambda e: min(10.0**e, 1.0))
 
 
-@given(st.lists(count_rows, min_size=1, max_size=40), log_strengths,
-       st.sampled_from([+1, -1]), st.sampled_from(["k", "raw"]))
+@given(st.lists(count_rows, min_size=1, max_size=40), log_strengths, st.sampled_from([+1, -1]))
 @settings(deadline=None, max_examples=300)
-def test_array_estimators_equal_frozen_scalar_bodies(rows, knowledge, mb_sign, norm):
+def test_array_estimators_equal_frozen_scalar_bodies(rows, knowledge, mb_sign):
     matrix = np.array(rows, dtype=float)
-    b, b_sigma = stats._lg_arrays(matrix, knowledge, mb_sign, norm)
+    b, b_sigma = stats._lg_arrays(matrix, knowledge, mb_sign)
     wv, wv_sigma = stats._weak_value_arrays(matrix, knowledge, mb_sign)
     significance = stats._significances(b, b_sigma, 1.0)
     for i, row in enumerate(rows):
         counts = stats.CountTable(*row)
-        value, sigma = reference_estimate_lg(counts, knowledge, mb_sign, norm)
+        value, sigma = reference_estimate_lg(counts, knowledge, mb_sign, "k")
         assert bits(b[i], b_sigma[i]) == bits(value, sigma), row
-        single = stats.estimate_lg(counts, knowledge, mb_sign, norm)
+        single = stats.estimate_lg(counts, knowledge, mb_sign)
         assert bits(single.value, single.sigma) == bits(value, sigma), row
         assert bits(significance[i]) == bits((value - 1.0) / sigma), row
         weak = reference_estimate_weak_value(counts, knowledge, mb_sign)
@@ -99,15 +98,15 @@ def test_array_estimators_equal_frozen_scalar_bodies_in_bulk():
     # the thousand; hypothesis draws too few distinct large counts to see it
     rng = np.random.default_rng(2009)
     for knowledge in (1e-9, 3.7e-5, 0.1598, 0.5445, 1.0):
-        mb_sign, norm = int(rng.choice([1, -1])), str(rng.choice(["k", "raw"]))
+        mb_sign = int(rng.choice([1, -1]))
         scale = 10.0 ** rng.integers(0, 8, size=(4000, 1))
         matrix = np.floor(rng.random((4000, 4)) * scale)
         matrix[matrix.sum(axis=1) == 0, 1] = 1.0
-        b, b_sigma = stats._lg_arrays(matrix, knowledge, mb_sign, norm)
+        b, b_sigma = stats._lg_arrays(matrix, knowledge, mb_sign)
         wv, wv_sigma = stats._weak_value_arrays(matrix, knowledge, mb_sign)
         for i, row in enumerate(matrix.astype(int).tolist()):
             counts = stats.CountTable(*row)
-            assert bits(b[i], b_sigma[i]) == bits(*reference_estimate_lg(counts, knowledge, mb_sign, norm)), row
+            assert bits(b[i], b_sigma[i]) == bits(*reference_estimate_lg(counts, knowledge, mb_sign, "k")), row
             weak = reference_estimate_weak_value(counts, knowledge, mb_sign)
             assert weak is None or bits(wv[i], wv_sigma[i]) == bits(*weak), row
 
