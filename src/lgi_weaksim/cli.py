@@ -77,13 +77,13 @@ def _emit_csv(
     path: str,
     manifest: list[str],
     header: tuple[str, ...] | list[str],
-    rows: list[list[str]],
+    rows: list[str],
     trailer: list[str] | None = None,
     quiet: bool = False,
 ) -> None:
     lines = list(manifest)
     lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(rows)
     if trailer:
         lines.extend(trailer)
     _write_atomic(path, "\n".join(lines) + "\n")
@@ -119,7 +119,7 @@ def _sweep_table(
     gate_model: experiment.GateModel,
     steps: int,
     degrees: bool,
-) -> tuple[list[str], list[list[str]]]:
+) -> tuple[list[str], list[str]]:
     header = list(_SWEEP_COLUMNS)
     if degrees:
         header[0] = "theta_deg"
@@ -128,11 +128,11 @@ def _sweep_table(
     # the wv column is the S1 weak value; mb_sign affects b only
     est = experiment._estimates(*probs.T, k, mb_sign)
     values = np.column_stack([probs, est.s1, est.s2, est.s1s2, est.b, est.wv, est.psel])
-    fixed = [_format_real(k), str(mb_sign)]
-    rows = [
-        [_format_real(angle)] + fixed + [_format_real(v) for v in row]
-        for angle, row in zip((np.degrees(thetas) if degrees else thetas).tolist(), values.tolist())
-    ]
+    # one %-format per row; the fixed k and mb_sign cells are escaped into it
+    fixed = f"{_format_real(k)},{mb_sign}".replace("%", "%%")
+    row_format = ",".join(["%.9g", fixed] + ["%.9g"] * values.shape[1])
+    angles = (np.degrees(thetas) if degrees else thetas).tolist()
+    rows = [row_format % (angle, *row) for angle, row in zip(angles, values.tolist())]
     return header, rows
 
 
@@ -235,7 +235,8 @@ def _cmd_fig3(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     else:
         trailer.append(_interval_comment("0", (math.pi, 1.5 * math.pi)))
 
-    rows = [[_format_real(col[i]) for col in columns] for i in range(len(thetas))]
+    row_format = ",".join(["%.9g"] * len(columns))
+    rows = [row_format % row for row in zip(*(col.tolist() for col in columns))]
     params = {
         "k_list": [float(k) for k in k_list],
         "theta_steps": args.theta_steps,
@@ -257,7 +258,7 @@ def _cmd_gate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         GATE_REFERENCE_K, experiment.GateModel(kind="ppbs", visibility=args.visibility)
     )
     header = ("visibility", "success_probability", "process_fidelity", "b_max")
-    rows = [[_format_real(v) for v in (args.visibility, emap.success_probability, fidelity, b_star)]]
+    rows = ["%.9g,%.9g,%.9g,%.9g" % (args.visibility, emap.success_probability, fidelity, b_star)]
     params = {
         "visibility": args.visibility,
         "k": GATE_REFERENCE_K,
@@ -284,10 +285,8 @@ def _cmd_mc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     header = ("trial", "b", "b_sigma", "b_significance", "wv", "wv_sigma")
     b_sig = stats._significances(summary.b, summary.b_sigma, bound=1.0)
     columns = (summary.b, summary.b_sigma, b_sig, summary.wv, summary.wv_sigma)
-    rows = [
-        [str(index)] + [_format_real(v) for v in row]
-        for index, row in enumerate(zip(*(c.tolist() for c in columns)))
-    ]
+    row_format = "%d," + ",".join(["%.9g"] * len(columns))
+    rows = [row_format % (index, *row) for index, row in enumerate(zip(*(c.tolist() for c in columns)))]
     trailer = [
         f"# summary true_b={_format_real(summary.true_b)}",
         f"# summary mean_b={_format_real(summary.mean_b)}",

@@ -14,6 +14,7 @@ Mode ordering: 0=signal H, 1=signal V, 2=meter H, 3=meter V,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,9 +222,13 @@ def fit_visibility(target_bmax: float, knowledge: float, tol: float = 1e-6) -> f
     :class:`UnreachableTargetError` when the target lies outside the closed
     range [b_max(visibility=0), b_max(visibility=1)] for this K, widened by
     tol plus the peak's round-off 1e-13/K; a target that close to an end of
-    the range returns that end.
+    the range returns that end. Raises ValueError unless tol is finite and
+    nonnegative.
     """
     from . import experiment  # local import; experiment depends on this module
+
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
 
     gates = [experiment.GateModel(kind="ppbs", visibility=xi) for xi in (0.0, 1.0)]
     b_lo, b_hi = (experiment.b_max(knowledge, gate)[1] for gate in gates)

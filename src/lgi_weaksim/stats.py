@@ -21,6 +21,9 @@ from .errors import InsufficientPostselectionError, UndefinedSignificanceError
 COVERAGE_Z = 1.96
 # The estimators hold counts as float64, which is exact only up to 2**53.
 MAX_PAIRS = 2**53
+# Seeding hashes each trial index as one uint32 word (a count matrix this
+# large would take 128 GiB anyway).
+MAX_TRIALS = 2**32
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,11 @@ class EstimateWithError:
 
 @dataclass(frozen=True)
 class TrialPlan:
-    """Monte Carlo schedule: pairs per trial, trial count, master seed."""
+    """Monte Carlo schedule: pairs per trial, trial count, master seed.
+
+    Raises ValueError unless 1 <= n_pairs <= 2**53, 1 <= n_trials <= 2**32
+    and master_seed >= 0.
+    """
 
     n_pairs: int
     n_trials: int
@@ -72,8 +79,8 @@ class TrialPlan:
     def __post_init__(self) -> None:
         if not 1 <= self.n_pairs <= MAX_PAIRS:
             raise ValueError(f"n_pairs must lie in [1, 2**53], got {self.n_pairs!r}")
-        if self.n_trials < 1:
-            raise ValueError(f"n_trials must be positive, got {self.n_trials!r}")
+        if not 1 <= self.n_trials <= MAX_TRIALS:
+            raise ValueError(f"n_trials must lie in [1, 2**32], got {self.n_trials!r}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be nonnegative, got {self.master_seed!r}")
 
@@ -141,22 +148,93 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
+def _hasher(hash_const: int, multiplier: int):
+    """numpy's SeedSequence hashmix on uint32 columns: xor with the hash
+    constant, step the constant, multiply by it, fold the high half down.
+    The constant steps on every call, as numpy's does."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * multiplier) & 0xFFFFFFFF
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _seed_states(master_seed: int, indices: np.ndarray) -> np.ndarray:
+    """``SeedSequence([master_seed, i]).generate_state(4, np.uint64)`` for
+    each i of a uint32 index array, as an (len(indices), 4) uint64 array.
+
+    numpy reads the seed list as the uint32 words of ``master_seed`` followed
+    by the one word of i, so every row's entropy has the same length and its
+    hash is the same sequence of uint32 operations: this is numpy's
+    ``mix_entropy`` and ``generate_state`` run on columns.
+    """
+    entropy = [np.full(len(indices), word, dtype=np.uint32) for word in _uint32_words(master_seed)]
+    entropy.append(indices)
+    zero = np.zeros(len(indices), dtype=np.uint32)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return result ^ (result >> np.uint32(16))
+
+    with np.errstate(over="ignore"):
+        hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+        # the pool of 4 words takes the first entropy words, then hashed zeros
+        pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        # entropy beyond the pool (master_seed >= 2**96) is mixed into every word
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        # generate_state: 8 uint32 words cycling over the pool, paired
+        # little-endian into 4 uint64 words
+        output = _hasher(0x8B51F9DD, 0x58F38DED)
+        state = np.column_stack([output(pool[dst % 4]) for dst in range(8)])
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+# PCG64's 128-bit LCG multiplier and modulus
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _draw_counts(states: np.ndarray, n_pairs: int, probs: np.ndarray) -> np.ndarray:
+    """One ``multinomial(n_pairs, probs)`` row, as floats, per row of seed
+    words from ``_seed_states``: what a PCG64 seeded with those words draws.
+
+    PCG64's seeding step turns the words into a (state, inc) pair in Python
+    ints, which is assigned to one reused generator before each draw.
+    """
+    counts = np.empty((len(states), 4))
+    bit_generator = np.random.PCG64(0)  # placeholder; every row sets its state
+    rng = np.random.Generator(bit_generator)
+    lcg = {"state": 0, "inc": 0}
+    full_state = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
+    for index, (state_hi, state_lo, seq_hi, seq_lo) in enumerate(states.tolist()):
+        # pcg64_set_seed reads initstate and initseq as 128-bit (hi, lo)
+        # pairs; srandom steps the LCG from 0, adds initstate, steps again
+        inc = ((((seq_hi << 64) | seq_lo) << 1) | 1) & _MASK128
+        lcg["inc"] = inc
+        lcg["state"] = ((inc + ((state_hi << 64) | state_lo)) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = full_state
+        counts[index] = rng.multinomial(n_pairs, probs)
+    return counts
+
+
 def _sample_trials(table: experiment.ProbabilityTable, plan: TrialPlan) -> np.ndarray:
     """The (n_trials, 4) count matrix of a plan, as floats.
 
-    Row i is what ``sample_counts`` draws from ``default_rng([master_seed, i])``.
-    numpy reads that seed list as the uint32 words of each entry in turn;
-    handing SeedSequence those words as a uint32 array skips its slow
-    per-element coercion. One generator lives at a time.
+    Row i is what ``sample_counts`` draws from ``default_rng([master_seed, i])``,
+    with the seeding done for all trials at once.
     """
-    probs = table.as_array()
-    counts = np.empty((plan.n_trials, 4))
-    seed_words = _uint32_words(plan.master_seed)
-    for index in range(plan.n_trials):
-        entropy = np.array(seed_words + _uint32_words(index), dtype=np.uint32)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-        counts[index] = rng.multinomial(plan.n_pairs, probs)
-    return counts
+    indices = np.arange(plan.n_trials, dtype=np.uint32)
+    return _draw_counts(_seed_states(plan.master_seed, indices), plan.n_pairs, table.as_array())
 
 
 def _poisson_variances(counts: np.ndarray) -> np.ndarray:

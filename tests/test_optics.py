@@ -235,6 +235,15 @@ def test_fit_visibility_round_trips_near_the_ends_with_zero_tol(knowledge, xi):
     assert abs(reached - target) <= 1e-8 + 1e-13 / knowledge
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
+def test_fit_visibility_rejects_a_tol_that_is_not_finite_and_nonnegative(tol):
+    # 1.2008 lies inside [b_max(0), b_max(1)] = [1.0, 1.3052] at this K
+    with pytest.raises(ValueError, match="tol") as caught:
+        optics.fit_visibility(1.2008, K_STRONG, tol=tol)
+    assert not isinstance(caught.value, UnreachableTargetError)
+    assert 0.0 < optics.fit_visibility(1.2008, K_STRONG) < 1.0
+
+
 def test_fit_visibility_rejects_unreachable_targets():
     with pytest.raises(UnreachableTargetError, match="reachable"):
         optics.fit_visibility(1.4, K_STRONG)

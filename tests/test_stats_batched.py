@@ -49,7 +49,7 @@ def reference_estimate_weak_value(counts, knowledge, mb_sign):
 
 
 @pytest.mark.parametrize("n_trials", [1, 2, 300])
-@pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 3, 2**128 - 1])
 def test_count_matrix_rows_equal_per_trial_draws(master_seed, n_trials):
     config = experiment.ExperimentConfig(theta=5.5, meter=qcore.from_knowledge(0.1598))
     table = experiment.run(config)
@@ -61,6 +61,23 @@ def test_count_matrix_rows_equal_per_trial_draws(master_seed, n_trials):
             rng = np.random.default_rng([master_seed, index])
             counts = stats.sample_counts(table, n_pairs, rng)
             assert matrix[index].tolist() == [counts.n_dd, counts.n_da, counts.n_ad, counts.n_aa]
+
+
+# master_seed runs to 5 words, so the entropy holds up to 6 words and the
+# words beyond SeedSequence's pool of 4 are mixed in as well
+@given(
+    st.one_of(st.integers(0, 2**32 - 1), st.integers(2**96, 2**160 - 1), st.integers(0, 2**160 - 1)),
+    st.lists(st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1)), min_size=1, max_size=4),
+    st.sampled_from([1, 100, 100_000]),
+)
+@settings(deadline=None, max_examples=300)
+def test_seeding_port_equals_numpy(master_seed, indices, n_pairs):
+    states = stats._seed_states(master_seed, np.array(indices, dtype=np.uint32))
+    probs = np.array([0.41, 0.09, 0.3, 0.2])
+    rows = stats._draw_counts(states, n_pairs, probs)
+    for state, row, index in zip(states.tolist(), rows.tolist(), indices):
+        assert state == np.random.SeedSequence([master_seed, index]).generate_state(4, np.uint64).tolist()
+        assert row == np.random.default_rng([master_seed, index]).multinomial(n_pairs, probs).tolist()
 
 
 # zero cells are frequent, so empty rows and empty branches occur; the largest
@@ -127,3 +144,9 @@ def test_trial_plan_rejects_pairs_beyond_exact_float_counts():
     stats.TrialPlan(n_pairs=stats.MAX_PAIRS, n_trials=1)
     with pytest.raises(ValueError):
         stats.TrialPlan(n_pairs=stats.MAX_PAIRS + 1, n_trials=1)
+
+
+def test_trial_plan_rejects_trial_indices_beyond_one_seed_word():
+    stats.TrialPlan(n_pairs=1, n_trials=2**32)
+    with pytest.raises(ValueError, match="n_trials"):
+        stats.TrialPlan(n_pairs=1, n_trials=2**32 + 1)
