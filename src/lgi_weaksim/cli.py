@@ -15,6 +15,7 @@ decimal separator, ',' field separator and '\\n' line endings. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -306,7 +307,12 @@ def _cmd_mc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's argument parser, built once per process.
+
+    Parsing leaves the parser unchanged, so every call of ``main`` shares it.
+    """
     parser = argparse.ArgumentParser(
         prog="lgi-weaksim",
         description="Simulate the variable-strength Leggett-Garg protocol and emit CSV datasets.",

@@ -245,7 +245,9 @@ def _trig_coefficients(knowledge: float, gate_model: GateModel) -> tuple[np.ndar
     gate and the readout are linear maps.
     """
     mu = _meter_amplitudes(qcore.from_knowledge(knowledge))
-    rho = np.array([np.kron(term, np.outer(mu, mu.conj())) for term in _SIGNAL_TERMS])
+    meter = np.outer(mu, mu.conj())
+    # kron(term, meter) for each signal term, as one broadcast product: np.kron's multiply
+    rho = (_SIGNAL_TERMS[:, :, None, :, None] * meter[None, None, :, None, :]).reshape(3, 4, 4)
     if gate_model.kind == "ideal":
         out = rho * _CZ_SIGNS
     else:
@@ -381,14 +383,18 @@ def theta_sweep(
     ]
 
 
-def _bisect(f, a: float, b: float, xtol: float) -> float:
+def _bisect(f, predict, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
     """Root of f on [a, b] by bisection, step for step as scipy.optimize.bisect.
 
-    The midpoint update, the sign test and the stopping rule (with scipy's
-    default relative tolerance 4 eps) are kept exactly, so the endpoints it
-    returns are the ones the interval comments have always printed.
+    fa and fb are f(a) and f(b). The midpoint update, the sign test and the
+    stopping rule (with scipy's default relative tolerance 4 eps) are kept
+    exactly, so the endpoints it returns are the ones the interval comments
+    have always printed. f maps a list of angles to a list of values; each
+    round lays out the rest of the path as the signs of ``predict`` would
+    steer it and evaluates all its midpoints in one call of f. Decisions come
+    only from f's values: the next round starts at the first midpoint where
+    f and the prediction disagree.
     """
-    fa, fb = f(a), f(b)
     if fa * fb > 0.0:
         raise RuntimeError(f"bisection bracket [{a!r}, {b!r}] does not enclose a sign change")
     if fa == 0.0:
@@ -397,26 +403,30 @@ def _bisect(f, a: float, b: float, xtol: float) -> float:
         return b
     rtol = 4.0 * np.finfo(float).eps
     dm = b - a
-    for _ in range(100):
-        dm *= 0.5
-        xm = a + dm
-        fm = f(xm)
-        if fm * fa >= 0.0:
-            a = xm
-        if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
-            return xm
+    steps = 0
+    while steps < 100:
+        path, keep = [], []
+        pa, pdm = a, dm
+        for _ in range(100 - steps):
+            pdm *= 0.5
+            xm = pa + pdm
+            path.append(xm)
+            keep.append(predict(xm) * fa >= 0.0)
+            if abs(pdm) < xtol + rtol * abs(xm):
+                break
+            if keep[-1]:
+                pa = xm
+        for xm, fm, predicted in zip(path, f(path), keep):
+            # a and dm follow the path as long as the decisions agree, so xm == a + dm / 2
+            steps += 1
+            dm *= 0.5
+            if fm * fa >= 0.0:
+                a = xm
+            if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
+                return xm
+            if (fm * fa >= 0.0) != predicted:
+                break
     raise RuntimeError(f"bisection did not converge; last midpoint {xm!r}")
-
-
-def _scalar_b(knowledge: float, gate_model: GateModel, mb_sign: int):
-    meter = qcore.from_knowledge(knowledge)
-
-    def scalar_b(theta: float) -> float:
-        # python floats round exactly like numpy's, at a fraction of the cost
-        row = _probability_matrix(np.array([theta]), meter, gate_model)[0]
-        return _estimates(*row.tolist(), knowledge, mb_sign).b
-
-    return scalar_b
 
 
 def b_max(knowledge: float, gate_model: GateModel = IDEAL_GATE, mb_sign: int = +1) -> tuple[float, float]:
@@ -434,7 +444,9 @@ def b_max(knowledge: float, gate_model: GateModel = IDEAL_GATE, mb_sign: int = +
     theta_star = math.atan2(n[2] - t * d[2], n[1] - t * d[1]) % _TWO_PI
     if theta_star == _TWO_PI:    # a tiny negative angle rounds up to the full turn
         theta_star = 0.0
-    return theta_star, _scalar_b(knowledge, gate_model, mb_sign)(theta_star)
+    row = _probability_matrix(np.array([theta_star]), qcore.from_knowledge(knowledge), gate_model)[0]
+    # python floats round exactly like numpy's, at a fraction of the cost
+    return theta_star, _estimates(*row.tolist(), knowledge, mb_sign).b
 
 
 def violation_interval(
@@ -445,37 +457,47 @@ def violation_interval(
     Returns (theta_lo, theta_hi) with theta_lo in [0, 2 pi) and
     theta_hi - theta_lo the interval width (theta_hi may exceed 2 pi when
     the arc wraps through zero), or None when no violation exists. Endpoints
-    are located by bisection to 1e-10.
+    are located by bisection to 1e-10 on the engine's B. Every decision of
+    the search comes from engine values; the closed-form sign of
+    (n - d).x only predicts the bisection's path, so that each round of it
+    costs one engine call.
     """
     theta_star, b_star = b_max(knowledge, gate_model, mb_sign)
     if b_star <= 1.0 + 1e-12:
         return None
-    scalar_b = _scalar_b(knowledge, gate_model, mb_sign)
     meter = qcore.from_knowledge(knowledge)
     thetas = np.linspace(0.0, _TWO_PI, _SEARCH_GRID, endpoint=False)
     values = _estimates(*_probability_matrix(thetas, meter, gate_model).T, knowledge, mb_sign).b
     peak = int(np.argmax(values))
     # the peak's image nearest the grid peak, for arcs that miss the grid
     theta_star -= _TWO_PI * round((theta_star - thetas[peak]) / _TWO_PI)
+    n, d = _b_ratio(knowledge, gate_model, mb_sign)
+    p0, p1, p2 = (n - d).tolist()
 
-    def excess(theta: float) -> float:
-        return scalar_b(theta % _TWO_PI) - 1.0
+    def excess(angles: list[float]) -> list[float]:
+        reduced = np.array([theta % _TWO_PI for theta in angles])
+        return (_estimates(*_probability_matrix(reduced, meter, gate_model).T, knowledge, mb_sign).b - 1.0).tolist()
+
+    def predicted_excess(theta: float) -> float:
+        # B - 1 = (n - d).x / d.x with d.x > 0, so this has the sign of B - 1
+        return p0 + p1 * math.cos(theta) + p2 * math.sin(theta)
 
     def walk(direction: int) -> float:
         # march from the grid peak until B <= 1, then bisect the crossing
         for step in range(1, _SEARCH_GRID):
             if values[(peak + direction * step) % _SEARCH_GRID] <= 1.0:
                 outside = thetas[peak] + direction * step * _GRID_SPACING
+                inside = thetas[peak] + direction * (step - 1) * _GRID_SPACING
+                f_outside, f_inside, f_star = excess([outside, inside, theta_star])
                 # the grid and the recomputed angle can disagree by round-off
                 # when the crossing sits on a grid point
-                if excess(outside) >= 0.0:
+                if f_outside >= 0.0:
                     return outside
-                inside = thetas[peak] + direction * (step - 1) * _GRID_SPACING
                 # a violation arc narrower than one grid cell misses the grid
-                if excess(inside) < 0.0:
-                    inside = theta_star
-                lo, hi = sorted((float(inside), float(outside)))
-                return _bisect(excess, lo, hi, _REFINE_XTOL)
+                if f_inside < 0.0:
+                    inside, f_inside = theta_star, f_star
+                (lo, f_lo), (hi, f_hi) = sorted(((float(inside), f_inside), (float(outside), f_outside)))
+                return _bisect(excess, predicted_excess, lo, hi, f_lo, f_hi, _REFINE_XTOL)
         raise RuntimeError("no B = 1 crossing found; grid walk exhausted")
 
     theta_lo = walk(-1)

@@ -14,6 +14,7 @@ Mode ordering: 0=signal H, 1=signal V, 2=meter H, 3=meter V,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +32,13 @@ _BASIS_MODES = tuple(
 )
 
 _UNITARITY_TOL = 1e-12
+# vec(I / 4), the input on which a map's success probability is defined
+_MAXIMALLY_MIXED = (np.eye(4) / 4.0).reshape(16)
+_MAXIMALLY_MIXED.setflags(write=False)
+# (CZ kron I)|phi+> with |phi+> = sum_i |ii> / 2: CZ's signs at indices 0, 5, 10, 15
+_CZ_CHOI_VECTOR = np.zeros(16, dtype=complex)
+_CZ_CHOI_VECTOR[0::5] = (0.5, 0.5, 0.5, -0.5)
+_CZ_CHOI_VECTOR.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -156,11 +164,26 @@ def _labeled_path_operators(network: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _kraus_to_superoperator(kraus: list[np.ndarray]) -> np.ndarray:
-    # row-major vec: vec(K rho K+) = (K kron conj(K)) vec(rho)
+    # row-major vec: vec(K rho K+) = (K kron conj(K)) vec(rho); the broadcast
+    # product is np.kron's elementwise multiply
     sup = np.zeros((16, 16), dtype=complex)
     for k in kraus:
-        sup += np.kron(k, k.conj())
+        sup += (k[:, None, :, None] * k.conj()[None, :, None, :]).reshape(16, 16)
     return sup
+
+
+@functools.cache
+def _channel_terms() -> tuple[np.ndarray, np.ndarray]:
+    """The visibility-independent superoperators (coherent, labeled) of the canonical network.
+
+    Built on first use, not at import, and read-only: every map shares them.
+    """
+    network = build_network()
+    coherent = _kraus_to_superoperator([_coincidence_block(network)])
+    labeled = _kraus_to_superoperator(list(_labeled_path_operators(network)))
+    for sup in (coherent, labeled):
+        sup.setflags(write=False)
+    return coherent, labeled
 
 
 def effective_map(visibility: float) -> EffectiveMap:
@@ -180,37 +203,27 @@ def effective_map(visibility: float) -> EffectiveMap:
     """
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {visibility!r}")
-    network = build_network()
-    coherent = _coincidence_block(network)
-    direct, exchange = _labeled_path_operators(network)
-    sup = visibility * _kraus_to_superoperator([coherent]) + (1.0 - visibility) * (
-        _kraus_to_superoperator([direct, exchange])
-    )
-    mixed_success = float(np.real(np.trace((sup @ (np.eye(4) / 4.0).reshape(16)).reshape(4, 4))))
+    coherent, labeled = _channel_terms()
+    sup = visibility * coherent + (1.0 - visibility) * labeled
+    mixed_success = float(np.real(np.trace((sup @ _MAXIMALLY_MIXED).reshape(4, 4))))
     return EffectiveMap(visibility=visibility, superoperator=sup, success_probability=mixed_success)
 
 
 def choi_matrix(emap: EffectiveMap) -> np.ndarray:
-    """Choi matrix sum_ij E(|i><j|) kron |i><j| of the unnormalized map."""
-    choi = np.zeros((16, 16), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            basis_ij = np.zeros((4, 4), dtype=complex)
-            basis_ij[i, j] = 1.0
-            choi += np.kron(emap.apply(basis_ij), basis_ij)
-    return choi
+    """Choi matrix sum_ij E(|i><j|) kron |i><j| of the unnormalized map.
+
+    E(|i><j|)[a, b] is sup[4a + b, 4i + j] in the row-major vectorization,
+    so the Choi matrix is a reshuffle of the superoperator's entries:
+    choi[4a + i, 4b + j] = sup[4a + b, 4i + j].
+    """
+    return emap.superoperator.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
 
 
 def process_fidelity_to_cz(emap: EffectiveMap) -> float:
     """Process fidelity between the trace-normalized channel and the ideal CZ."""
-    cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
     choi = choi_matrix(emap)
     choi /= np.real(np.trace(choi))
-    target = np.kron(cz, np.eye(4, dtype=complex))  # (CZ kron I)|phi+>, |phi+> = sum |ii>/2
-    phi = np.zeros(16, dtype=complex)
-    phi[0::5] = 0.5  # indices 0, 5, 10, 15
-    vec = target @ phi
-    return float(np.real(np.vdot(vec, choi @ vec)))
+    return float(np.real(np.vdot(_CZ_CHOI_VECTOR, choi @ _CZ_CHOI_VECTOR)))
 
 
 def fit_visibility(target_bmax: float, knowledge: float, tol: float = 1e-6) -> float:

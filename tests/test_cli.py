@@ -282,17 +282,22 @@ def test_mc_rerun_summary_and_error_columns(tmp_path):
     assert 0.0 <= summary["coverage"] <= 1.0
 
 
-def _loaded_by_cli_import(names):
-    """Which of the named modules a fresh interpreter holds after importing the CLI."""
+def _after_cli_import(probe):
+    """What `probe` prints in a fresh interpreter that has imported the CLI."""
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
-    probe = f"import sys, lgi_weaksim.cli; print([m for m in {list(names)!r} if m in sys.modules])"
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", "import sys, lgi_weaksim.cli; " + probe],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
+
+
+def _loaded_by_cli_import(names):
+    """Which of the named modules a fresh interpreter holds after importing the CLI."""
+    return _after_cli_import(f"print([m for m in {list(names)!r} if m in sys.modules])")
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -304,6 +309,24 @@ def test_cli_import_leaves_process_pools_unloaded():
     # mc samples in-process; a worker pool's import and start-up would show in
     # every invocation's time
     assert _loaded_by_cli_import(["multiprocessing", "concurrent.futures"]) == "[]"
+
+
+def test_cli_import_leaves_the_gate_channel_unbuilt():
+    # the PPBS channel terms are built on first use, so the import and parser
+    # build every invocation pays gain no work
+    probe = "from lgi_weaksim import optics; lgi_weaksim.cli.build_parser(); print(optics._channel_terms.cache_info())"
+    assert "currsize=0" in _after_cli_import(probe)
+
+
+def test_build_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_mc_accepts_theta_far_outside_one_turn(tmp_path):
+    assert run_cli("mc", "--theta", "1e300", "--trials", 3, "--pairs", 100, "--out", tmp_path / "mc.csv",
+                   "--quiet") == 0
+    _, header, rows, _ = read_csv(tmp_path / "mc.csv")
+    assert len(rows) == 3 and np.isfinite(column(header, rows, "b")).all()
 
 
 # sha256 of `mc` files without their `# out=` line, as the per-trial path
@@ -390,3 +413,19 @@ def test_fig2_bytes_match_golden_digests(tmp_path):
         "5e9d6a6f6a1e54337b27658255a5fc723ee28d7ab991d033099581bb74cbe41d",
         "c9f6faee16ec19e6b2a03c2460bbb46590f8a3064433ac945184c5dab2af877b",
     ]
+
+
+def test_one_process_reuses_the_parser_across_commands(tmp_path, capsys):
+    # a usage error first, then every kind of command through the same parser
+    cli.build_parser.cache_clear()
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("sweep", "--k", "1.5", "--out", tmp_path / "bad.csv")
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    runs = [SWEEP_FIG3_GOLDEN[1], GATE_FIG3_GOLDEN[1], GATE_FIG3_GOLDEN[4], SWEEP_FIG3_GOLDEN[0],
+            (("mc", *MC_GOLDEN[1][0]), MC_GOLDEN[1][1]), GATE_FIG3_GOLDEN[5]]
+    for index, (argv, digest) in enumerate(runs):
+        out = tmp_path / f"out{index}.csv"
+        assert run_cli(*argv, "--out", out, "--quiet") == 0
+        assert body_digest(out) == digest, argv
+    assert not (tmp_path / "bad.csv").exists()

@@ -445,6 +445,55 @@ def test_solvers_hold_over_the_whole_domain(log_k, xi, kind, mb_sign):
     experiment.violation_interval(knowledge, gate, mb_sign)
 
 
+@given(st.floats(-9.0, 0.0), visibilities, st.sampled_from(("ideal", "ppbs")), st.sampled_from((+1, -1)))
+@example(log_k=-9.0, xi=0.0, kind="ppbs", mb_sign=+1)
+@example(log_k=0.0, xi=0.5, kind="ppbs", mb_sign=-1)
+@example(log_k=math.log10(0.9999999999), xi=0.0, kind="ppbs", mb_sign=+1)
+@example(log_k=math.log10(1.0 - 1e-8), xi=0.0, kind="ideal", mb_sign=-1)
+@example(log_k=math.log10(2.484119309168553e-07), xi=0.0, kind="ppbs", mb_sign=-1)
+@example(log_k=math.log10(7.3784739887984216e-06), xi=0.00034088121497868835, kind="ppbs", mb_sign=+1)
+@settings(deadline=None, max_examples=100)
+def test_violation_interval_endpoints_match_the_oracles(log_k, xi, kind, mb_sign):
+    # the domain and tolerance of test_solvers_hold_over_the_whole_domain
+    knowledge = max(10.0**log_k, experiment.MIN_KNOWLEDGE)
+    gate = experiment.IDEAL_GATE if kind == "ideal" else experiment.GateModel(kind="ppbs", visibility=xi)
+    tol = 1e-8 + 1e-13 / knowledge
+
+    def excess(theta):
+        return oracle_b(theta, knowledge, gate, mb_sign) - 1.0
+
+    interval = experiment.violation_interval(knowledge, gate, mb_sign)
+    if interval is None:
+        assert max(excess(theta) for theta in ORACLE_GRID) <= tol
+        return
+    lo, hi = interval
+    assert 0.0 <= lo < TWO_PI and lo < hi
+    if kind == "ideal":
+        assert hi - lo == pytest.approx(oracles.violation_width(knowledge), abs=tol)
+    # B - 1 changes sign across each endpoint wherever |B - 1| exceeds tol: where
+    # the peak or the slope is within the 1/K round-off, so is the sign
+    inward = min(tol, (hi - lo) / 2.0)
+    for edge, into_arc in ((lo, +1.0), (hi, -1.0)):
+        assert excess(edge - into_arc * tol) <= tol, (edge, "outside")
+        assert excess(edge + into_arc * inward) >= -tol, (edge, "inside")
+
+
+@pytest.mark.parametrize("theta", [1e6, -1e6, 1e15, -1e15, 1e300, -1e300])
+@pytest.mark.parametrize("knowledge", [K_STRONG, K_WEAK])
+@pytest.mark.parametrize("mb_sign", [+1, -1])
+def test_scalar_entry_points_far_outside_one_turn(theta, knowledge, mb_sign):
+    # any finite theta is in the domain; the tolerances are those of the
+    # [0, 2 pi) property tests
+    config = config_for(theta, knowledge, mb_sign=mb_sign)
+    assert experiment.run(config).as_array() == pytest.approx(
+        oracles.probability_table(theta, knowledge), abs=1e-13
+    )
+    assert experiment.lg_b(config).b == pytest.approx(oracles.b_closed(theta, knowledge, mb_sign), abs=1e-12)
+    assert experiment.weak_value(config).wv == pytest.approx(
+        oracles.wv_closed(theta, knowledge, mb_sign), abs=1e-9
+    )
+
+
 @given(thetas, strengths, visibilities, st.sampled_from((+1, -1)))
 @settings(deadline=None)
 def test_ppbs_gate_matches_dense_channel_oracle(theta, knowledge, xi, mb_sign):
