@@ -5,8 +5,8 @@ The package layers are:
 
 - :mod:`lgi_weaksim.qcore` - polarization states, the meter qubit, and the
   controlled-sign coupling.
-- :mod:`lgi_weaksim.optics` - the PPBS realization of the gate, including a
-  photon-distinguishability model, expressed as a quantum channel.
+- :mod:`lgi_weaksim.optics` - the paper's fixed PPBS network realizing the
+  gate, with a photon-distinguishability model, as a quantum channel.
 - :mod:`lgi_weaksim.experiment` - the protocol: outcome probabilities,
   correlator and weak-value estimators, sweeps and extrema.
 - :mod:`lgi_weaksim.stats` - multinomial count sampling, propagated errors
@@ -40,10 +40,7 @@ from .experiment import (
     weak_value,
 )
 from .optics import (
-    CENTRAL_PPBS,
-    COMPENSATOR_PPBS,
     EffectiveMap,
-    PPBSSpec,
     build_network,
     choi_matrix,
     effective_map,
@@ -98,10 +95,7 @@ __all__ = [
     "meter_ket",
     "tensor",
     # optics
-    "CENTRAL_PPBS",
-    "COMPENSATOR_PPBS",
     "EffectiveMap",
-    "PPBSSpec",
     "build_network",
     "choi_matrix",
     "effective_map",

@@ -89,8 +89,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta!r}")
-        if self.mb_sign not in (+1, -1):
-            raise ValueError(f"mb_sign must be +1 or -1, got {self.mb_sign!r}")
+        _require_sign(self.mb_sign)
 
 
 @dataclass(frozen=True)
@@ -180,6 +179,11 @@ def _require_strength(knowledge: float) -> float:
     if not knowledge <= 1.0:    # also NaN
         raise ValueError(f"measurement strength K must lie in [{MIN_KNOWLEDGE}, 1], got {knowledge!r}")
     return knowledge
+
+
+def _require_sign(mb_sign: int) -> None:
+    if mb_sign not in (+1, -1):
+        raise ValueError(f"mb_sign must be +1 or -1, got {mb_sign!r}")
 
 
 @lru_cache(maxsize=16)
@@ -365,8 +369,10 @@ def theta_sweep(
     weak-value records always report the S1 weak value itself, so a single
     column pairs with either sign (B(+S1) > 1 where wv > 1, B(-S1) > 1
     where wv < -1). Rows with degenerate post-selection carry wv = NaN.
+    Raises ValueError unless mb_sign is +1 or -1.
     """
     _require_strength(knowledge)
+    _require_sign(mb_sign)
     meter = qcore.from_knowledge(knowledge)
     thetas = grid.values()
     probs = _probability_matrix(thetas, meter, gate_model)
@@ -437,8 +443,10 @@ def b_max(knowledge: float, gate_model: GateModel = IDEAL_GATE, mb_sign: int = +
     reached where (n1 - t d1, n2 - t d2) points along (cos theta, sin theta).
     Returns (theta_star, b_star) with theta_star in [0, 2 pi) and b_star the
     engine's B there; for the ideal gate b_star equals sqrt(2 - K^2).
+    Raises ValueError unless mb_sign is +1 or -1.
     """
     _require_strength(knowledge)
+    _require_sign(mb_sign)
     n, d = _b_ratio(knowledge, gate_model, mb_sign)
     t = max(_null_points(n, -d))
     theta_star = math.atan2(n[2] - t * d[2], n[1] - t * d[1]) % _TWO_PI
@@ -456,14 +464,15 @@ def violation_interval(
 
     Returns (theta_lo, theta_hi) with theta_lo in [0, 2 pi) and
     theta_hi - theta_lo the interval width (theta_hi may exceed 2 pi when
-    the arc wraps through zero), or None when no violation exists. Endpoints
-    are located by bisection to 1e-10 on the engine's B. Every decision of
-    the search comes from engine values; the closed-form sign of
+    the arc wraps through zero), or None when no violation exists: when the
+    peak B exceeds 1 by no more than its round-off, max(1e-12, 1e-13/K).
+    Endpoints are located by bisection to 1e-10 on the engine's B. Every
+    decision of the search comes from engine values; the closed-form sign of
     (n - d).x only predicts the bisection's path, so that each round of it
-    costs one engine call.
+    costs one engine call. Raises ValueError unless mb_sign is +1 or -1.
     """
     theta_star, b_star = b_max(knowledge, gate_model, mb_sign)
-    if b_star <= 1.0 + 1e-12:
+    if b_star <= 1.0 + max(1e-12, 1e-13 / knowledge):
         return None
     meter = qcore.from_knowledge(knowledge)
     thetas = np.linspace(0.0, _TWO_PI, _SEARCH_GRID, endpoint=False)

@@ -1,12 +1,13 @@
 """Mode-level model of the nondeterministic linear-optical controlled-sign gate.
 
-The gate is a partially polarizing beamsplitter (PPBS) network: one central
-PPBS where the two photons interfere (full transmission for H, 1/3 for V)
-followed by one compensating PPBS per output arm (1/3 transmission for H,
-full for V). Reflected V light and compensator-rejected H light are routed
-into two explicit ancilla modes so the 6-mode transformation stays unitary.
-Coincidence detection (exactly one photon per output arm) heralds success
-with probability 1/9 and realizes the controlled-sign operation.
+The gate is the paper's fixed partially polarizing beamsplitter (PPBS)
+network. The central PPBS, where the two photons interfere, transmits V with
+intensity 1/3 and H fully; one compensating PPBS per output arm then
+transmits H with intensity 1/3 and V fully. Reflected V light and
+compensator-rejected H light are routed into two explicit ancilla modes so
+the 6-mode transformation stays unitary. Coincidence detection (exactly one
+photon per output arm) heralds success with probability 1/9 and realizes the
+controlled-sign operation.
 
 Mode ordering: 0=signal H, 1=signal V, 2=meter H, 3=meter V,
 4=signal-arm ancilla, 5=meter-arm ancilla.
@@ -31,6 +32,8 @@ _BASIS_MODES = tuple(
     (s, m) for s in _SIGNAL_ARM for m in _METER_ARM
 )
 
+# intensity transmission of each PPBS's attenuated polarization
+_TRANSMISSION = 1.0 / 3.0
 _UNITARITY_TOL = 1e-12
 # vec(I / 4), the input on which a map's success probability is defined
 _MAXIMALLY_MIXED = (np.eye(4) / 4.0).reshape(16)
@@ -39,24 +42,6 @@ _MAXIMALLY_MIXED.setflags(write=False)
 _CZ_CHOI_VECTOR = np.zeros(16, dtype=complex)
 _CZ_CHOI_VECTOR[0::5] = (0.5, 0.5, 0.5, -0.5)
 _CZ_CHOI_VECTOR.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class PPBSSpec:
-    """Intensity transmissions of one partially polarizing beamsplitter."""
-
-    transmission_h: float  # in [0, 1]
-    transmission_v: float  # in [0, 1]
-
-    def __post_init__(self) -> None:
-        for name, t in (("transmission_h", self.transmission_h), ("transmission_v", self.transmission_v)):
-            if not 0.0 <= t <= 1.0:
-                raise ValueError(f"PPBSSpec.{name} must lie in [0, 1], got {t!r}")
-
-
-# Canonical gate parameters: success probability 1/9 on coincidence.
-CENTRAL_PPBS = PPBSSpec(transmission_h=1.0, transmission_v=1.0 / 3.0)
-COMPENSATOR_PPBS = PPBSSpec(transmission_h=1.0 / 3.0, transmission_v=1.0)
 
 
 @dataclass(frozen=True)
@@ -99,51 +84,20 @@ def _embed_beamsplitter(u: np.ndarray, mode_a: int, mode_b: int, transmission: f
     u[rows] = block @ u[rows]
 
 
-def build_network(
-    central: PPBSSpec = CENTRAL_PPBS,
-    signal_compensator: PPBSSpec = COMPENSATOR_PPBS,
-    meter_compensator: PPBSSpec = COMPENSATOR_PPBS,
-) -> np.ndarray:
+def build_network() -> np.ndarray:
     """Build the 6x6 mode unitary of the PPBS gate network.
 
-    The central PPBS couples the same-polarization modes of the two arms;
-    each compensator couples one arm's attenuated polarization to that arm's
-    ancilla mode. A compensator must fully transmit at least one polarization
-    because each arm owns a single ancilla mode.
+    The central PPBS couples the two arms' V modes; each compensator couples
+    its arm's H mode to that arm's ancilla. The fully transmitted
+    polarizations are identities and are left out.
     """
     u = np.eye(N_MODES)
-    _embed_beamsplitter(u, SIGNAL_H, METER_H, central.transmission_h)
-    _embed_beamsplitter(u, SIGNAL_V, METER_V, central.transmission_v)
-    for comp, arm_h, arm_v, loss in (
-        (signal_compensator, SIGNAL_H, SIGNAL_V, LOSS_SIGNAL),
-        (meter_compensator, METER_H, METER_V, LOSS_METER),
-    ):
-        if comp.transmission_h < 1.0 and comp.transmission_v < 1.0:
-            raise ValueError(
-                "compensator must fully transmit one polarization; "
-                "each arm has a single ancilla mode"
-            )
-        if comp.transmission_h < 1.0:
-            _embed_beamsplitter(u, arm_h, loss, comp.transmission_h)
-        if comp.transmission_v < 1.0:
-            _embed_beamsplitter(u, arm_v, loss, comp.transmission_v)
+    _embed_beamsplitter(u, SIGNAL_V, METER_V, _TRANSMISSION)
+    _embed_beamsplitter(u, SIGNAL_H, LOSS_SIGNAL, _TRANSMISSION)
+    _embed_beamsplitter(u, METER_H, LOSS_METER, _TRANSMISSION)
     if np.max(np.abs(u @ u.conj().T - np.eye(N_MODES))) > _UNITARITY_TOL:
         raise ValueError("network construction lost unitarity")
     return u
-
-
-def _permanent_2x2(u: np.ndarray, rows: tuple[int, int], cols: tuple[int, int]) -> complex:
-    # two-photon transition amplitude, bosonic exchange paths added coherently
-    return u[rows[0], cols[0]] * u[rows[1], cols[1]] + u[rows[0], cols[1]] * u[rows[1], cols[0]]
-
-
-def _coincidence_block(network: np.ndarray) -> np.ndarray:
-    """4x4 operator mapping input polarization amplitudes to coincidence ones."""
-    block = np.zeros((4, 4), dtype=complex)
-    for col, (i1, i2) in enumerate(_BASIS_MODES):
-        for row, (j, k) in enumerate(_BASIS_MODES):
-            block[row, col] = _permanent_2x2(network, (j, k), (i1, i2))
-    return block
 
 
 def _labeled_path_operators(network: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +106,8 @@ def _labeled_path_operators(network: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Direct: the signal-input photon exits in the signal arm and the
     meter-input photon in the meter arm. Exchange: both photons swap arms.
     With distinguishable photons these two coincidence paths add as
-    probabilities; their coherent sum is the permanent block.
+    probabilities; with indistinguishable ones their sum, the permanent,
+    is the coherent coincidence operator.
     """
     direct = np.zeros((4, 4), dtype=complex)
     exchange = np.zeros((4, 4), dtype=complex)
@@ -174,13 +129,13 @@ def _kraus_to_superoperator(kraus: list[np.ndarray]) -> np.ndarray:
 
 @functools.cache
 def _channel_terms() -> tuple[np.ndarray, np.ndarray]:
-    """The visibility-independent superoperators (coherent, labeled) of the canonical network.
+    """The visibility-independent superoperators (coherent, labeled) of the network.
 
     Built on first use, not at import, and read-only: every map shares them.
     """
-    network = build_network()
-    coherent = _kraus_to_superoperator([_coincidence_block(network)])
-    labeled = _kraus_to_superoperator(list(_labeled_path_operators(network)))
+    direct, exchange = _labeled_path_operators(build_network())
+    coherent = _kraus_to_superoperator([direct + exchange])
+    labeled = _kraus_to_superoperator([direct, exchange])
     for sup in (coherent, labeled):
         sup.setflags(write=False)
     return coherent, labeled
@@ -193,7 +148,7 @@ def effective_map(visibility: float) -> EffectiveMap:
     coherent permanent map, an exact controlled-sign gate) and fully
     distinguishable photons (0, where the direct and exchange coincidence
     paths add as probabilities and no conditional phase survives) in the
-    canonical PPBS network. Kraus form::
+    PPBS network. Kraus form::
 
         E(rho) = xi * M rho M+  +  (1 - xi) * (Md rho Md+ + Mx rho Mx+)
 

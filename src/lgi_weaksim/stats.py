@@ -103,19 +103,6 @@ class TrialSummary:
     spread: float          # sample standard deviation of the B estimates (ddof=1)
     coverage: float        # fraction of trials whose 1.96-sigma interval covers true_b
 
-    @property
-    def estimates(self) -> tuple[EstimateWithError, ...]:
-        """The B estimates as objects, built on each access."""
-        return tuple(EstimateWithError(v, s) for v, s in zip(self.b.tolist(), self.b_sigma.tolist()))
-
-    @property
-    def weak_values(self) -> tuple[EstimateWithError | None, ...]:
-        """The weak-value estimates as objects; None where post-selection kept nothing."""
-        return tuple(
-            None if math.isnan(v) else EstimateWithError(v, s)
-            for v, s in zip(self.wv.tolist(), self.wv_sigma.tolist())
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrialSummary):
             return NotImplemented
@@ -289,8 +276,7 @@ def _significances(values, sigmas, bound: float):
 def estimate_lg(counts: CountTable, knowledge: float, mb_sign: int = +1) -> EstimateWithError:
     """Correlator estimate B = mb*s1 + mb*s1s2 - s2 from raw counts."""
     experiment._require_strength(knowledge)
-    if mb_sign not in (+1, -1):
-        raise ValueError(f"mb_sign must be +1 or -1, got {mb_sign!r}")
+    experiment._require_sign(mb_sign)
     value, sigma = _lg_arrays(counts.as_array()[None], knowledge, mb_sign)
     return EstimateWithError(value=float(value[0]), sigma=float(sigma[0]))
 
@@ -298,8 +284,7 @@ def estimate_lg(counts: CountTable, knowledge: float, mb_sign: int = +1) -> Esti
 def estimate_weak_value(counts: CountTable, knowledge: float, mb_sign: int = +1) -> EstimateWithError:
     """Weak-value estimate from the signal-D post-selected meter counts."""
     experiment._require_strength(knowledge)
-    if mb_sign not in (+1, -1):
-        raise ValueError(f"mb_sign must be +1 or -1, got {mb_sign!r}")
+    experiment._require_sign(mb_sign)
     if counts.n_dd + counts.n_ad == 0:
         raise InsufficientPostselectionError(
             "no events survived the signal-D post-selection; weak value is undefined"

@@ -133,6 +133,15 @@ def test_quiet_flag_controls_progress_line(tmp_path, capsys):
         ("fig3", "--seed", "-1", "--out", "x.csv"),
         ("gate", "--seed", "-1", "--out", "x.csv"),
         ("fig2", "--seed", "1.5", "--out-prefix", "x"),
+        # non-finite and out-of-range values
+        ("gate", "--visibility", "1.5", "--out", "x.csv"),
+        ("gate", "--visibility", "nan", "--out", "x.csv"),
+        ("sweep", "--k", "nan", "--out", "x.csv"),
+        ("sweep", "--gate", "ppbs", "--visibility", "nan", "--out", "x.csv"),
+        ("fig3", "--k-list", "0.5,nan", "--out", "x.csv"),
+        ("mc", "--theta", "0.5", "--k", "1e-10", "--out", "x.csv"),
+        ("mc", "--theta", "inf", "--out", "x.csv"),
+        ("mc", "--theta", "nan", "--out", "x.csv"),
     ],
 )
 def test_usage_errors_exit_two_without_output(argv, tmp_path, capsys, monkeypatch):

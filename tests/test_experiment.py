@@ -316,6 +316,20 @@ def test_experiment_config_validation():
         experiment.ExperimentConfig(theta=0.1, meter=meter, mb_sign=2)
 
 
+@pytest.mark.parametrize("mb_sign", [0, 2, -3])
+@pytest.mark.parametrize("entry_point", [
+    lambda sign: experiment.b_max(K_STRONG, mb_sign=sign),
+    lambda sign: experiment.violation_interval(K_STRONG, mb_sign=sign),
+    lambda sign: experiment.theta_sweep(K_STRONG, mb_sign=sign),
+    lambda sign: config_for(0.1, K_STRONG, mb_sign=sign),
+    lambda sign: stats.estimate_lg(stats.CountTable(10, 10, 10, 10), K_STRONG, sign),
+    lambda sign: stats.estimate_weak_value(stats.CountTable(10, 10, 10, 10), K_STRONG, sign),
+], ids=["b_max", "violation_interval", "theta_sweep", "ExperimentConfig", "estimate_lg", "estimate_weak_value"])
+def test_every_entry_point_rejects_an_mb_sign_other_than_plus_or_minus_one(entry_point, mb_sign):
+    with pytest.raises(ValueError, match="mb_sign"):
+        entry_point(mb_sign)
+
+
 def test_theta_sweep_rows_match_scalar_entry_points():
     grid = experiment.ThetaGrid(0.0, TWO_PI, 17)
     for gate in (experiment.IDEAL_GATE, experiment.GateModel(kind="ppbs", visibility=0.6)):
@@ -416,6 +430,16 @@ def test_violation_interval_brackets_crossings_near_grid_points(knowledge, mb_si
 def test_violation_interval_closed_under_fully_mixed_gate():
     gate = experiment.GateModel(kind="ppbs", visibility=0.0)
     assert experiment.violation_interval(K_STRONG, gate) is None
+
+
+@pytest.mark.parametrize("mb_sign", [+1, -1])
+def test_no_interval_where_the_peak_is_within_round_off_of_one(mb_sign):
+    # the oracle's B never exceeds 1 here, but the engine's peak does by 1e-9,
+    # within the ~1e-13/K round-off of B's 1/K terms
+    knowledge = 2.484119309168553e-07
+    gate = experiment.GateModel(kind="ppbs", visibility=0.0)
+    assert max(oracle_b(theta, knowledge, gate, mb_sign) for theta in ORACLE_GRID) <= 1.0
+    assert experiment.violation_interval(knowledge, gate, mb_sign) is None
 
 
 ORACLE_GRID = np.linspace(0.0, TWO_PI, 4096, endpoint=False).tolist()

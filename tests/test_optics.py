@@ -36,32 +36,13 @@ def test_network_is_unitary():
     np.testing.assert_allclose(u @ u.conj().T, np.eye(6), atol=1e-12)
 
 
-def test_all_transmissions_one_gives_identity_on_qubit_modes():
-    passthrough = optics.PPBSSpec(transmission_h=1.0, transmission_v=1.0)
-    u = optics.build_network(central=passthrough, signal_compensator=passthrough,
-                             meter_compensator=passthrough)
-    np.testing.assert_allclose(u[:4, :4], np.eye(4), atol=1e-12)
-
-
 def test_central_v_block_splitting_ratio():
-    u = optics.build_network(signal_compensator=optics.PPBSSpec(1.0, 1.0),
-                             meter_compensator=optics.PPBSSpec(1.0, 1.0))
+    # the compensators touch only H and ancilla modes, so the V block is the central PPBS's
+    u = optics.build_network()
     assert u[1, 1] == pytest.approx(math.sqrt(1.0 / 3.0), abs=1e-12)
     assert abs(u[1, 3]) == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
     assert abs(u[3, 1]) == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
     assert u[3, 3] == pytest.approx(math.sqrt(1.0 / 3.0), abs=1e-12)
-
-
-def test_ppbs_spec_rejects_invalid_transmission():
-    with pytest.raises(ValueError):
-        optics.PPBSSpec(transmission_h=1.2, transmission_v=0.5)
-    with pytest.raises(ValueError):
-        optics.PPBSSpec(transmission_h=-0.1, transmission_v=0.5)
-
-
-def test_compensator_attenuating_both_polarizations_rejected():
-    with pytest.raises(ValueError):
-        optics.build_network(signal_compensator=optics.PPBSSpec(0.5, 0.5))
 
 
 # coincidence outcomes: one photon per output arm, (signal mode, meter mode),
@@ -69,10 +50,16 @@ def test_compensator_attenuating_both_polarizations_rejected():
 COINCIDENCE_PAIRS = [(0, 2), (0, 3), (1, 2), (1, 3)]
 
 
+def coincidence_operator():
+    """The coherent coincidence operator: the sum of the direct and exchange paths."""
+    direct, exchange = optics._labeled_path_operators(optics.build_network())
+    return direct + exchange
+
+
 def test_two_photon_output_matches_oracle():
-    # column i of the shipped coincidence block is the oracle's full two-photon
+    # column i of the coincidence operator is the oracle's full two-photon
     # expansion of basis input i, restricted to coincidence outcomes
-    block = optics._coincidence_block(optics.build_network())
+    block = coincidence_operator()
     for col in range(4):
         expected = oracles.two_photon_output(np.eye(4)[col], oracles.ppbs_network())
         for row, modes in enumerate(COINCIDENCE_PAIRS):
@@ -81,13 +68,13 @@ def test_two_photon_output_matches_oracle():
 
 def test_coincidence_block_is_diagonal_sign_flip():
     # HH passes both compensators: (1/sqrt3)^2; VV interferes: t^2 - r^2 = -1/3
-    block = optics._coincidence_block(optics.build_network())
+    block = coincidence_operator()
     np.testing.assert_allclose(block, np.diag([1.0, 1.0, 1.0, -1.0]) / 3.0, atol=1e-12)
 
 
 def test_diagonal_input_coincidence_probability():
     d = qcore.PureState(qcore.BasisOutcome.D.ket())
-    out = optics._coincidence_block(optics.build_network()) @ qcore.tensor(d, d).amplitudes
+    out = coincidence_operator() @ qcore.tensor(d, d).amplitudes
     assert np.sum(np.abs(out) ** 2) == pytest.approx(1.0 / 9.0, abs=1e-12)
 
 

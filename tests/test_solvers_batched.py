@@ -6,9 +6,9 @@ fidelity, so the predicted-path bisection, the cached channel terms and the
 reshuffled Choi matrix must reproduce the sequential code exactly. The
 references below are the bodies the package had before: a bisection with one
 engine call per step, a grid walk that evaluates one angle at a time, a map
-that rebuilds the network and its Kraus sums with np.kron, a Choi matrix
-summed from 16 map applications, and the closed form's prepared-state terms
-built with np.kron.
+that rebuilds the network from per-PPBS transmissions and its Kraus sums with
+np.kron and a permanent block, a Choi matrix summed from 16 map
+applications, and the closed form's prepared-state terms built with np.kron.
 """
 
 import math
@@ -112,11 +112,63 @@ def reference_kraus_to_superoperator(kraus):
     return sup
 
 
+# (transmission_h, transmission_v) of the central PPBS and of each compensator
+REFERENCE_CENTRAL = (1.0, 1.0 / 3.0)
+REFERENCE_COMPENSATOR = (1.0 / 3.0, 1.0)
+# modes 0-3: signal H, signal V, meter H, meter V; 4, 5: the signal and meter
+# ancillas. The basis (HH, HV, VH, VV) as (signal mode, meter mode) pairs:
+REFERENCE_BASIS_MODES = ((0, 2), (0, 3), (1, 2), (1, 3))
+
+
+def reference_embed_beamsplitter(u, mode_a, mode_b, transmission):
+    t = np.sqrt(transmission)
+    r = np.sqrt(1.0 - transmission)
+    rows = np.ix_((mode_a, mode_b), range(6))
+    u[rows] = np.array([[t, r], [-r, t]]) @ u[rows]
+
+
+def reference_network():
+    """The network built from per-PPBS transmissions, each polarization split in turn."""
+    u = np.eye(6)
+    reference_embed_beamsplitter(u, 0, 2, REFERENCE_CENTRAL[0])
+    reference_embed_beamsplitter(u, 1, 3, REFERENCE_CENTRAL[1])
+    t_h, t_v = REFERENCE_COMPENSATOR
+    for arm_h, arm_v, loss in ((0, 1, 4), (2, 3, 5)):
+        if t_h < 1.0:
+            reference_embed_beamsplitter(u, arm_h, loss, t_h)
+        if t_v < 1.0:
+            reference_embed_beamsplitter(u, arm_v, loss, t_v)
+    return u
+
+
+def reference_permanent_2x2(u, rows, cols):
+    return u[rows[0], cols[0]] * u[rows[1], cols[1]] + u[rows[0], cols[1]] * u[rows[1], cols[0]]
+
+
+def reference_coincidence_block(network):
+    """The coherent coincidence operator, one two-photon permanent per entry."""
+    block = np.zeros((4, 4), dtype=complex)
+    for col, (i1, i2) in enumerate(REFERENCE_BASIS_MODES):
+        for row, (j, k) in enumerate(REFERENCE_BASIS_MODES):
+            block[row, col] = reference_permanent_2x2(network, (j, k), (i1, i2))
+    return block
+
+
+def reference_labeled_path_operators(network):
+    direct = np.zeros((4, 4), dtype=complex)
+    exchange = np.zeros((4, 4), dtype=complex)
+    for col, (i1, i2) in enumerate(REFERENCE_BASIS_MODES):
+        for row, (j, k) in enumerate(REFERENCE_BASIS_MODES):
+            direct[row, col] = network[j, i1] * network[k, i2]
+            exchange[row, col] = network[k, i1] * network[j, i2]
+    return direct, exchange
+
+
 def reference_effective_map(visibility):
     """The map with the network and both Kraus sums rebuilt on every call."""
-    network = optics.build_network()
-    coherent = optics._coincidence_block(network)
-    direct, exchange = optics._labeled_path_operators(network)
+    network = reference_network()
+    coherent = reference_coincidence_block(network)
+    direct, exchange = reference_labeled_path_operators(network)
     sup = visibility * reference_kraus_to_superoperator([coherent]) + (1.0 - visibility) * (
         reference_kraus_to_superoperator([direct, exchange])
     )
@@ -151,8 +203,14 @@ def gate_for(kind, xi):
 
 
 def assert_same_interval(knowledge, gate, mb_sign):
-    """Both endpoints equal the sequential search's, bit for bit; returns them."""
+    """Both endpoints equal the sequential search's, bit for bit; returns them.
+
+    Where the sequential search's peak B exceeds 1 by no more than the
+    round-off of B's 1/K terms, max(1e-12, 1e-13/K), there is no interval.
+    """
     expected = bits(reference_violation_interval(knowledge, gate, mb_sign))
+    if reference_b_max(knowledge, gate, mb_sign)[1] <= 1.0 + max(1e-12, 1e-13 / knowledge):
+        expected = None
     assert bits(experiment.violation_interval(knowledge, gate, mb_sign)) == expected, (knowledge, gate, mb_sign)
     return expected
 
@@ -227,6 +285,15 @@ def test_trig_coefficients_equal_kron_form():
         num, trace = experiment._trig_coefficients(knowledge, gate)
         expected_num, expected_trace = reference_trig_coefficients(knowledge, gate)
         assert num.tobytes() == expected_num.tobytes() and trace.tobytes() == expected_trace.tobytes(), knowledge
+
+
+def test_network_and_channel_terms_equal_the_per_ppbs_builder():
+    network = reference_network()
+    assert optics.build_network().tobytes() == network.tobytes()
+    direct, exchange = reference_labeled_path_operators(network)
+    coherent, labeled = optics._channel_terms()
+    assert coherent.tobytes() == reference_kraus_to_superoperator([reference_coincidence_block(network)]).tobytes()
+    assert labeled.tobytes() == reference_kraus_to_superoperator([direct, exchange]).tobytes()
 
 
 def test_cached_channel_terms_are_read_only():

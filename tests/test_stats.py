@@ -235,9 +235,10 @@ def test_run_trials_single_trial_matches_manual_draw():
     summary = stats.run_trials(stats.TrialPlan(n_pairs=2000, n_trials=1, master_seed=3), config)
     table = experiment.run(config)
     counts = stats.sample_counts(table, 2000, np.random.default_rng([3, 0]))
-    assert summary.estimates == (stats.estimate_lg(counts, K_STRONG),)
-    assert summary.weak_values == (stats.estimate_weak_value(counts, K_STRONG),)
-    assert summary.mean_b == summary.estimates[0].value
+    b, wv = stats.estimate_lg(counts, K_STRONG), stats.estimate_weak_value(counts, K_STRONG)
+    assert (summary.b.tolist(), summary.b_sigma.tolist()) == ([b.value], [b.sigma])
+    assert (summary.wv.tolist(), summary.wv_sigma.tolist()) == ([wv.value], [wv.sigma])
+    assert summary.mean_b == b.value
     assert summary.spread == 0.0
     assert summary.coverage in (0.0, 1.0)
 
@@ -256,7 +257,8 @@ def test_run_trials_any_trial_reproducible_in_isolation():
     for index in (0, 4, 9):
         rng = np.random.default_rng([5, index])
         counts = stats.sample_counts(table, 1500, rng)
-        assert summary.estimates[index] == stats.estimate_lg(counts, K_STRONG)
+        estimate = stats.estimate_lg(counts, K_STRONG)
+        assert (summary.b[index], summary.b_sigma[index]) == (estimate.value, estimate.sigma)
 
 
 def test_run_trials_ensemble_statistics():
@@ -275,8 +277,8 @@ def test_run_trials_records_empty_postselection_as_none():
     config = config_for(3.0 * math.pi / 2.0, 0.01)
     plan = stats.TrialPlan(n_pairs=5, n_trials=20, master_seed=1)
     summary = stats.run_trials(plan, config)
-    assert all(wv is None for wv in summary.weak_values)
-    assert all(math.isfinite(e.value) for e in summary.estimates)
+    assert np.isnan(summary.wv).all() and np.isnan(summary.wv_sigma).all()
+    assert np.isfinite(summary.b).all() and np.isfinite(summary.b_sigma).all()
 
 
 def test_error_shrinks_with_sample_size():

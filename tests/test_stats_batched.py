@@ -134,8 +134,8 @@ def test_summary_views_and_equality():
     summary = stats.run_trials(plan, config)
     empty = np.isnan(summary.wv)
     assert empty.any() and not empty.all()
-    assert [wv is None for wv in summary.weak_values] == empty.tolist()
-    assert [e.value for e in summary.estimates] == summary.b.tolist()
+    assert np.array_equal(np.isnan(summary.wv_sigma), empty)
+    assert np.isfinite(summary.b).all() and np.isfinite(summary.b_sigma).all()
     assert summary == stats.run_trials(plan, config)
     assert summary != stats.run_trials(stats.TrialPlan(n_pairs=100, n_trials=60, master_seed=5), config)
 
