@@ -47,6 +47,7 @@ _TWO_PI = 2.0 * math.pi
 _SEARCH_GRID = 1024          # coarse grid for violation_interval
 _GRID_SPACING = _TWO_PI / _SEARCH_GRID
 _REFINE_XTOL = 1e-10         # bisection angular resolution
+_PEAK_ROUNDOFF = 16.0 * math.ulp(1.0)   # / K bounds the peak B's round-off, measured below 6 eps/K
 
 # Each estimator is a contrast over the outcomes (dd, da, ad, aa).
 _S1_SIGN = np.array([+1.0, +1.0, -1.0, -1.0])   # meter D minus meter A
@@ -465,14 +466,14 @@ def violation_interval(
     Returns (theta_lo, theta_hi) with theta_lo in [0, 2 pi) and
     theta_hi - theta_lo the interval width (theta_hi may exceed 2 pi when
     the arc wraps through zero), or None when no violation exists: when the
-    peak B exceeds 1 by no more than its round-off, max(1e-12, 1e-13/K).
+    peak B exceeds 1 by no more than max(1e-12, 16 eps/K), its round-off.
     Endpoints are located by bisection to 1e-10 on the engine's B. Every
     decision of the search comes from engine values; the closed-form sign of
     (n - d).x only predicts the bisection's path, so that each round of it
     costs one engine call. Raises ValueError unless mb_sign is +1 or -1.
     """
     theta_star, b_star = b_max(knowledge, gate_model, mb_sign)
-    if b_star <= 1.0 + max(1e-12, 1e-13 / knowledge):
+    if b_star <= 1.0 + max(1e-12, _PEAK_ROUNDOFF / knowledge):
         return None
     meter = qcore.from_knowledge(knowledge)
     thetas = np.linspace(0.0, _TWO_PI, _SEARCH_GRID, endpoint=False)

@@ -189,7 +189,7 @@ def fit_visibility(target_bmax: float, knowledge: float, tol: float = 1e-6) -> f
     target where p0 + |(p1, p2)| = 0: a quadratic in xi. Raises
     :class:`UnreachableTargetError` when the target lies outside the closed
     range [b_max(visibility=0), b_max(visibility=1)] for this K, widened by
-    tol plus the peak's round-off 1e-13/K; a target that close to an end of
+    tol plus the peak's round-off 16 eps/K; a target that close to an end of
     the range returns that end. Raises ValueError unless tol is finite and
     nonnegative.
     """
@@ -203,7 +203,7 @@ def fit_visibility(target_bmax: float, knowledge: float, tol: float = 1e-6) -> f
     # B's 1/K terms carry round-off that makes b_max non-monotone in xi near
     # the ends; near xi = 0 the peak also grows only as xi^2, so the quadratic
     # has a near-double root there and its roots are round-off
-    slack = tol + 1e-13 / knowledge
+    slack = tol + experiment._PEAK_ROUNDOFF / knowledge
     if not b_lo - slack <= target_bmax <= b_hi + slack:
         raise UnreachableTargetError(
             f"target b_max {target_bmax!r} unreachable; "

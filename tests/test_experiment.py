@@ -435,11 +435,40 @@ def test_violation_interval_closed_under_fully_mixed_gate():
 @pytest.mark.parametrize("mb_sign", [+1, -1])
 def test_no_interval_where_the_peak_is_within_round_off_of_one(mb_sign):
     # the oracle's B never exceeds 1 here, but the engine's peak does by 1e-9,
-    # within the ~1e-13/K round-off of B's 1/K terms
+    # about eps/K: the round-off of B's 1/K terms
     knowledge = 2.484119309168553e-07
     gate = experiment.GateModel(kind="ppbs", visibility=0.0)
     assert max(oracle_b(theta, knowledge, gate, mb_sign) for theta in ORACLE_GRID) <= 1.0
     assert experiment.violation_interval(knowledge, gate, mb_sign) is None
+
+
+def test_small_arc_above_the_round_off_is_reported():
+    # here B = xi (cos theta - sin theta) + 1 - xi, so B > 1 on (3 pi/2, 2 pi) and
+    # peaks at 1 + 4.1e-5; B's round-off, a few eps/K ~ 1e-6, over its slope
+    # xi = 1e-4 at the crossings moves the endpoints by about 1e-2 at most
+    knowledge, gate = 1e-9, experiment.GateModel(kind="ppbs", visibility=1e-4)
+    lo, hi = experiment.violation_interval(knowledge, gate, +1)
+    assert lo == pytest.approx(1.5 * math.pi, abs=2e-2)
+    assert hi == pytest.approx(TWO_PI, abs=2e-2)
+
+
+@given(st.floats(-9.0, -1.0), st.floats(-12.0, 0.0), st.sampled_from((+1, -1)))
+@example(log_k=-9.0, log_xi=-4.0, mb_sign=+1)
+@example(log_k=-4.0, log_xi=-3.0, mb_sign=-1)     # an arc 1e-3 wide, inside one grid cell
+@settings(deadline=None, max_examples=50)
+def test_arcs_clearing_the_round_off_are_reported(log_k, log_xi, mb_sign):
+    # B's 1/K terms round off by a few eps/K; any arc whose oracle peak clears
+    # 1 by 1e-12 + 64 eps/K must be found, and none where it stays at or below 1
+    knowledge = 10.0**log_k
+    gate = experiment.GateModel(kind="ppbs", visibility=10.0**log_xi)
+    # arcs narrower than the grid spacing show at the peak angle
+    theta_star = experiment.b_max(knowledge, gate, mb_sign)[0]
+    excess = max(oracle_b(theta, knowledge, gate, mb_sign) for theta in [theta_star, *ORACLE_GRID]) - 1.0
+    interval = experiment.violation_interval(knowledge, gate, mb_sign)
+    if excess > 1e-12 + 64.0 * np.finfo(float).eps / knowledge:
+        assert interval is not None, excess
+    elif excess <= 0.0:
+        assert interval is None, excess
 
 
 ORACLE_GRID = np.linspace(0.0, TWO_PI, 4096, endpoint=False).tolist()
