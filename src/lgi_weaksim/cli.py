@@ -61,17 +61,30 @@ def _manifest_lines(subcommand: str, params: dict[str, object]) -> list[str]:
     return lines
 
 
+def _new_file_mode() -> int:
+    """The mode ``open(path, "w")`` gives a new file: 0o666 less the umask."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    handle, tmp_path = tempfile.mkstemp(dir=directory, prefix=".lgi-weaksim-", suffix=".tmp")
     try:
-        with os.fdopen(handle, "w", encoding="utf-8", newline="\n") as stream:
-            stream.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+        handle, tmp_path = tempfile.mkstemp(dir=directory, prefix=".lgi-weaksim-", suffix=".tmp")
+        try:
+            with os.fdopen(handle, "w", encoding="utf-8", newline="\n") as stream:
+                # mkstemp creates the file 0600, and os.replace keeps that mode
+                os.fchmod(handle, _new_file_mode())
+                stream.write(text)
+            os.replace(tmp_path, path)
+        except BaseException:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
+            raise
+    except OSError as exc:
+        # the temp file's random name means nothing to the user; name their path
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _emit_csv(
@@ -114,27 +127,45 @@ def _resolve_gate(parser: argparse.ArgumentParser, gate: str, visibility: float 
     return experiment.GateModel(kind="ppbs", visibility=visibility)
 
 
-def _sweep_table(
+def _sweep_tables(
     k: float,
-    mb_sign: int,
+    mb_signs: tuple[int, ...],
     gate_model: experiment.GateModel,
     steps: int,
     degrees: bool,
-) -> tuple[list[str], list[str]]:
+) -> tuple[list[str], list[list[str]]]:
+    """The sweep header and one list of rows per sign in ``mb_signs``.
+
+    One engine call serves every sign. Only the mb_sign and b cells depend
+    on the sign, so the first sign's rows are formatted whole and each
+    further sign's rows are those rows with these two cells replaced.
+    """
     header = list(_SWEEP_COLUMNS)
     if degrees:
         header[0] = "theta_deg"
     thetas = np.linspace(0.0, _TWO_PI, steps)
     probs = experiment._probability_matrix(thetas, qcore.from_knowledge(k), gate_model)
+    first, *others = mb_signs
     # the wv column is the S1 weak value; mb_sign affects b only
-    est = experiment._estimates(*probs.T, k, mb_sign)
+    est = experiment._estimates(*probs.T, k, first)
     values = np.column_stack([probs, est.s1, est.s2, est.s1s2, est.b, est.wv, est.psel])
     # one %-format per row; the fixed k and mb_sign cells are escaped into it
-    fixed = f"{_format_real(k)},{mb_sign}".replace("%", "%%")
+    k_text = _format_real(k)
+    fixed = f"{k_text},{first}".replace("%", "%%")
     row_format = ",".join(["%.9g", fixed] + ["%.9g"] * values.shape[1])
     angles = (np.degrees(thetas) if degrees else thetas).tolist()
     rows = [row_format % (angle, *row) for angle, row in zip(angles, values.tolist())]
-    return header, rows
+    tables = [rows]
+    for mb_sign in others:
+        # the theta cell holds no comma, so the first match is the k and mb_sign cells
+        old, new = f",{k_text},{first},", f",{k_text},{mb_sign},"
+        b = experiment._estimates(*probs.T, k, mb_sign).b.tolist()
+        signed = []
+        for row, value in zip(rows, b):
+            head, _, wv, psel = row.rsplit(",", 3)
+            signed.append("%s,%.9g,%s,%s" % (head.replace(old, new, 1), value, wv, psel))
+        tables.append(signed)
+    return header, tables
 
 
 def _seed_value(text: str) -> int:
@@ -157,7 +188,7 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     _check_steps(parser, args.theta_steps)
     gate_model = _resolve_gate(parser, args.gate, args.visibility)
     mb_sign = _sign_value(args.mb_sign)
-    header, rows = _sweep_table(args.k, mb_sign, gate_model, args.theta_steps, args.degrees)
+    header, (rows,) = _sweep_tables(args.k, (mb_sign,), gate_model, args.theta_steps, args.degrees)
     params = {
         "k": args.k,
         "theta_steps": args.theta_steps,
@@ -176,9 +207,10 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def _cmd_fig2(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _check_strength(parser, args.k)
     _check_steps(parser, args.theta_steps)
-    for mb_sign, suffix in ((+1, "a"), (-1, "b")):
+    signs = (+1, -1)
+    header, tables = _sweep_tables(args.k, signs, experiment.IDEAL_GATE, args.theta_steps, args.degrees)
+    for mb_sign, suffix, rows in zip(signs, "ab", tables):
         path = f"{args.out_prefix}_{suffix}.csv"
-        header, rows = _sweep_table(args.k, mb_sign, experiment.IDEAL_GATE, args.theta_steps, args.degrees)
         params = {
             "k": args.k,
             "theta_steps": args.theta_steps,

@@ -186,31 +186,24 @@ def _seed_states(master_seed: int, indices: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-# PCG64's 128-bit LCG multiplier and modulus
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
 def _draw_counts(states: np.ndarray, n_pairs: int, probs: np.ndarray) -> np.ndarray:
     """One ``multinomial(n_pairs, probs)`` row, as floats, per row of seed
-    words from ``_seed_states``: what a PCG64 seeded with those words draws.
+    words from ``_seed_states``: what a PCG64 seeded with those words draws."""
+    # imported here so that numpy.random loads on the first draw, not with the CLI
+    from numpy.random.bit_generator import ISeedSequence
 
-    PCG64's seeding step turns the words into a (state, inc) pair in Python
-    ints, which is assigned to one reused generator before each draw.
-    """
+    class SeedWords(ISeedSequence):
+        """Hands one row to PCG64, whose seeding step asks for 4 uint64 words."""
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
     counts = np.empty((len(states), 4))
-    bit_generator = np.random.PCG64(0)  # placeholder; every row sets its state
-    rng = np.random.Generator(bit_generator)
-    lcg = {"state": 0, "inc": 0}
-    full_state = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
-    for index, (state_hi, state_lo, seq_hi, seq_lo) in enumerate(states.tolist()):
-        # pcg64_set_seed reads initstate and initseq as 128-bit (hi, lo)
-        # pairs; srandom steps the LCG from 0, adds initstate, steps again
-        inc = ((((seq_hi << 64) | seq_lo) << 1) | 1) & _MASK128
-        lcg["inc"] = inc
-        lcg["state"] = ((inc + ((state_hi << 64) | state_lo)) * _PCG_MULT + inc) & _MASK128
-        bit_generator.state = full_state
-        counts[index] = rng.multinomial(n_pairs, probs)
+    for index, words in enumerate(states):
+        counts[index] = np.random.Generator(np.random.PCG64(SeedWords(words))).multinomial(n_pairs, probs)
     return counts
 
 

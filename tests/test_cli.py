@@ -438,3 +438,58 @@ def test_one_process_reuses_the_parser_across_commands(tmp_path, capsys):
         assert run_cli(*argv, "--out", out, "--quiet") == 0
         assert body_digest(out) == digest, argv
     assert not (tmp_path / "bad.csv").exists()
+
+
+# sha256 of `fig2` pairs without their `# out=` line, as two sign-by-sign
+# sweeps wrote them; one engine call for both signs keeps every byte
+FIG2_GOLDEN = [
+    (("--degrees",),
+     ("fd3ea5361b6b2c37b071fd08e6ccd1806ada8cb8ad4512dd516b380c5e465b3c",
+      "2576fd2dd6987cc7fabb8bbe6582edb88fcd40344231aaf696a6c6d4dc1e431e")),
+    (("--k", "1e-09", "--theta-steps", "64"),
+     ("0e6eebb6c1614c786e90b4b9485c294303bab446e1e128763be83b367a162a25",
+      "380431bd7c162dfe88b479e5765992361b160f8130d18ffc17bfb7f92983237c")),
+    (("--k", "1", "--theta-steps", "4096"),
+     ("ed38ada51639d6d8888477e8895ad1c9e3fb99ca918b7f0a15193d18e61580e0",
+      "5e0e21430bd5b1155118a0afa8bb982f32e67a19eeadc5a068e2c1d372cc7d2e")),
+]
+
+
+@pytest.mark.parametrize("argv,digests", FIG2_GOLDEN)
+def test_fig2_pairs_match_golden_digests(argv, digests, tmp_path):
+    assert run_cli("fig2", *argv, "--out-prefix", tmp_path / "fig2", "--quiet") == 0
+    assert tuple(body_digest(tmp_path / f"fig2_{suffix}.csv") for suffix in "ab") == digests
+
+
+@pytest.mark.parametrize("degrees", [(), ("--degrees",)])
+@pytest.mark.parametrize("k", ["1e-09", "0.1598", "1"])
+def test_fig2_files_equal_the_two_sign_sweeps(k, degrees, tmp_path):
+    common = ("--k", k, "--theta-steps", 4096, *degrees, "--quiet")
+    assert run_cli("fig2", *common, "--out-prefix", tmp_path / "fig2") == 0
+    for suffix, sign in (("a", "+"), ("b", "-")):
+        out = tmp_path / f"sweep{suffix}.csv"
+        assert run_cli("sweep", *common, f"--mb-sign={sign}", "--out", out) == 0
+        # the header and rows; the manifests differ in subcommand and out
+        assert read_csv(tmp_path / f"fig2_{suffix}.csv")[1:3] == read_csv(out)[1:3]
+
+
+@pytest.fixture
+def umask_022():
+    previous = os.umask(0o022)
+    yield
+    os.umask(previous)
+
+
+def test_written_files_get_the_mode_open_would_give(tmp_path, umask_022):
+    out = tmp_path / "gate.csv"
+    for _ in range(2):  # a fresh file, then an overwritten one
+        assert run_cli("gate", "--visibility", 0.9, "--out", out, "--quiet") == 0
+        assert out.stat().st_mode & 0o777 == 0o644
+
+
+def test_failed_write_names_the_given_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("fig2", "--theta-steps", 4, "--out-prefix", "nodir/x", "--quiet") == 1
+    err = capsys.readouterr().err
+    assert "nodir/x_a.csv" in err and ".lgi-weaksim-" not in err
+    assert not any(tmp_path.iterdir())
