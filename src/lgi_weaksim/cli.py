@@ -19,11 +19,10 @@ import functools
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
-from . import __version__, experiment, optics, qcore, stats
+from . import __version__, experiment, optics
 
 MANIFEST_HEADER = "# lgi-weaksim manifest v1"
 
@@ -61,21 +60,15 @@ def _manifest_lines(subcommand: str, params: dict[str, object]) -> list[str]:
     return lines
 
 
-def _new_file_mode() -> int:
-    """The mode ``open(path, "w")`` gives a new file: 0o666 less the umask."""
-    umask = os.umask(0)
-    os.umask(umask)
-    return 0o666 & ~umask
-
-
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
+    tmp_path = os.path.join(directory, f".lgi-weaksim-{os.urandom(8).hex()}.tmp")
     try:
-        handle, tmp_path = tempfile.mkstemp(dir=directory, prefix=".lgi-weaksim-", suffix=".tmp")
+        # mode "x" never opens an existing file, and creates the new one with
+        # the mode open(path, "w") would give it; os.replace keeps that mode
+        stream = open(tmp_path, "x", encoding="utf-8", newline="\n")
         try:
-            with os.fdopen(handle, "w", encoding="utf-8", newline="\n") as stream:
-                # mkstemp creates the file 0600, and os.replace keeps that mode
-                os.fchmod(handle, _new_file_mode())
+            with stream:
                 stream.write(text)
             os.replace(tmp_path, path)
         except BaseException:
@@ -144,7 +137,7 @@ def _sweep_tables(
     if degrees:
         header[0] = "theta_deg"
     thetas = np.linspace(0.0, _TWO_PI, steps)
-    probs = experiment._probability_matrix(thetas, qcore.from_knowledge(k), gate_model)
+    probs = experiment._probability_matrix(thetas, k, gate_model)
     first, *others = mb_signs
     # the wv column is the S1 weak value; mb_sign affects b only
     est = experiment._estimates(*probs.T, k, first)
@@ -256,7 +249,7 @@ def _cmd_fig3(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     columns = [np.degrees(thetas) if args.degrees else thetas]
     trailer = []
     for k in k_list:
-        probs = experiment._probability_matrix(thetas, qcore.from_knowledge(k), experiment.IDEAL_GATE)
+        probs = experiment._probability_matrix(thetas, k, experiment.IDEAL_GATE)
         header.append(f"b_k{k:g}")
         columns.append(experiment._estimates(*probs.T, k, mb_sign).b)
         trailer.append(_interval_comment(f"{k:g}", experiment.violation_interval(k, mb_sign=mb_sign)))
@@ -303,6 +296,9 @@ def _cmd_gate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_mc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    # imported here so that the commands that do not sample never load them
+    from . import qcore, stats
+
     _check_strength(parser, args.k)
     if not 1 <= args.pairs <= stats.MAX_PAIRS:
         parser.error(f"--pairs must lie in [1, 2**53], got {args.pairs}")

@@ -29,14 +29,18 @@ so wherever p_D > 0, B > 1 exactly when mb_sign * wv > 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from . import optics, qcore
+from . import optics
 from .errors import DegenerateConditioningError, ZeroStrengthError
+
+if TYPE_CHECKING:
+    from .qcore import MeterSetting
 
 # Estimators divide by K; below this guard the calibration is undefined.
 MIN_KNOWLEDGE = 1e-9
@@ -53,6 +57,8 @@ _PEAK_ROUNDOFF = 16.0 * math.ulp(1.0)   # / K bounds the peak B's round-off, mea
 _S1_SIGN = np.array([+1.0, +1.0, -1.0, -1.0])   # meter D minus meter A
 _S2_SIGN = np.array([+1.0, -1.0, +1.0, -1.0])   # signal D minus signal A
 _PRODUCT_SIGN = _S1_SIGN * _S2_SIGN
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -83,7 +89,7 @@ class ExperimentConfig:
     """One protocol setting: preparation angle, meter strength, conventions."""
 
     theta: float
-    meter: qcore.MeterSetting
+    meter: MeterSetting
     mb_sign: int = +1                 # Mb = +S1 or -S1
     gate_model: GateModel = IDEAL_GATE
 
@@ -150,6 +156,14 @@ class WeakValueRecord:
             raise ValueError("postselection probability must lie in [0, 1]")
 
 
+def _require_count(value: int, name: str) -> int:
+    """value as an int; numpy integers pass, 2.5 and 3.0 raise ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ThetaGrid:
     """Uniform inclusive angle grid."""
@@ -161,6 +175,7 @@ class ThetaGrid:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError("grid endpoints must be finite")
+        object.__setattr__(self, "steps", _require_count(self.steps, "grid steps"))
         if self.steps < 2:
             raise ValueError(f"grid needs at least 2 steps, got {self.steps!r}")
 
@@ -192,14 +207,10 @@ def _gate_map(visibility: float) -> optics.EffectiveMap:
     return optics.effective_map(visibility)
 
 
-def _projector_rows() -> np.ndarray:
-    d = qcore.BasisOutcome.D.ket()
-    a = qcore.BasisOutcome.A.ket()
-    # rows ordered (dd, da, ad, aa) = (meter, signal); vectors are signal-major
-    return np.stack([np.kron(s, m) for m, s in ((d, d), (d, a), (a, d), (a, a))])
-
-
-_PROJ = _projector_rows()
+_D_KET = np.array([_INV_SQRT2, _INV_SQRT2], dtype=complex)
+_A_KET = np.array([_INV_SQRT2, -_INV_SQRT2], dtype=complex)
+# rows ordered (dd, da, ad, aa) = (meter, signal); vectors are signal-major
+_PROJ = np.stack([np.kron(s, m) for m in (_D_KET, _A_KET) for s in (_D_KET, _A_KET)])
 _BRAS = _PROJ.conj()[:, None, :]   # (4, 1, 4): one row vector per outcome
 _KETS = _PROJ[:, :, None]          # (4, 4, 1): one column vector per outcome
 # the signal density matrix is (I + cos(theta) Z + sin(theta) X) / 2
@@ -207,25 +218,26 @@ _SIGNAL_TERMS = 0.5 * np.array([np.eye(2), np.diag([1.0, -1.0]), [[0.0, 1.0], [1
 _CZ_SIGNS = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
 
 
-def _meter_amplitudes(meter: qcore.MeterSetting) -> np.ndarray:
-    # the amplitudes qcore.meter_ket builds, without the cost of validating them
-    g, gb = meter.gamma, meter.gamma_bar
-    return np.array([(g + gb) * qcore._INV_SQRT2, (g - gb) * qcore._INV_SQRT2], dtype=complex)
+def _meter_amplitudes(knowledge: float) -> np.ndarray:
+    # the (H, V) amplitudes of gamma|D> + gamma_bar|A>, with qcore.MeterSetting's gammas
+    g, gb = math.sqrt((1.0 + knowledge) / 2.0), math.sqrt((1.0 - knowledge) / 2.0)
+    return np.array([(g + gb) * _INV_SQRT2, (g - gb) * _INV_SQRT2], dtype=complex)
 
 
-def _probability_matrix(thetas: np.ndarray, meter: qcore.MeterSetting, gate_model: GateModel) -> np.ndarray:
+def _probability_matrix(thetas: np.ndarray, knowledge: float, gate_model: GateModel) -> np.ndarray:
     """The probability engine: rows of (p_dd, p_da, p_ad, p_aa) for an angle array.
 
     Each row equals, bit for bit and at any batch size, what qcore's object
-    path gives for that angle (``tensor`` of ``ket_signal`` and ``meter_ket``,
-    then ``apply_cz`` or the gate map, then ``measure_joint``). Every product
-    below is a stack of the complex BLAS calls that path makes per state: a
-    dot product for ``np.vdot``, a matrix-vector product for the map and for
-    ``rho @ proj``. A real or fused form sums in another order and changes
-    the last bit of some CSV cells.
+    path gives for that angle and strength K (``tensor`` of ``ket_signal``
+    and ``meter_ket``, then ``apply_cz`` or the gate map, then
+    ``measure_joint``). Every product below is a stack of the complex BLAS
+    calls that path makes per state: a dot product for ``np.vdot``, a
+    matrix-vector product for the map and for ``rho @ proj``. A real or
+    fused form sums in another order and changes the last bit of some CSV
+    cells.
     """
     thetas = np.asarray(thetas, dtype=float)
-    mu = _meter_amplitudes(meter)
+    mu = _meter_amplitudes(knowledge)
     psi = (np.stack([np.cos(thetas / 2.0), np.sin(thetas / 2.0)], axis=1)[:, :, None] * mu).reshape(-1, 4)
     if gate_model.kind == "ideal":
         psi[:, 3] = -psi[:, 3]
@@ -249,7 +261,7 @@ def _trig_coefficients(knowledge: float, gate_model: GateModel) -> tuple[np.ndar
     outcomes (dd, da, ad, aa): the prepared state is linear in x, and the
     gate and the readout are linear maps.
     """
-    mu = _meter_amplitudes(qcore.from_knowledge(knowledge))
+    mu = _meter_amplitudes(knowledge)
     meter = np.outer(mu, mu.conj())
     # kron(term, meter) for each signal term, as one broadcast product: np.kron's multiply
     rho = (_SIGNAL_TERMS[:, :, None, :, None] * meter[None, None, :, None, :]).reshape(3, 4, 4)
@@ -289,7 +301,7 @@ def _null_points(u: np.ndarray, w: np.ndarray) -> list[float]:
 
 def run(config: ExperimentConfig) -> ProbabilityTable:
     """Exact joint outcome probabilities for one protocol setting."""
-    row = _probability_matrix(np.array([config.theta]), config.meter, config.gate_model)[0]
+    row = _probability_matrix(np.array([config.theta]), config.meter.knowledge, config.gate_model)[0]
     return ProbabilityTable(*row.tolist())
 
 
@@ -374,9 +386,8 @@ def theta_sweep(
     """
     _require_strength(knowledge)
     _require_sign(mb_sign)
-    meter = qcore.from_knowledge(knowledge)
     thetas = grid.values()
-    probs = _probability_matrix(thetas, meter, gate_model)
+    probs = _probability_matrix(thetas, knowledge, gate_model)
     # sweep rows report the weak value of S1 itself; the Mb sign enters b only
     est = _estimates(*probs.T, knowledge, mb_sign)
     return [
@@ -453,7 +464,7 @@ def b_max(knowledge: float, gate_model: GateModel = IDEAL_GATE, mb_sign: int = +
     theta_star = math.atan2(n[2] - t * d[2], n[1] - t * d[1]) % _TWO_PI
     if theta_star == _TWO_PI:    # a tiny negative angle rounds up to the full turn
         theta_star = 0.0
-    row = _probability_matrix(np.array([theta_star]), qcore.from_knowledge(knowledge), gate_model)[0]
+    row = _probability_matrix(np.array([theta_star]), knowledge, gate_model)[0]
     # python floats round exactly like numpy's, at a fraction of the cost
     return theta_star, _estimates(*row.tolist(), knowledge, mb_sign).b
 
@@ -475,9 +486,8 @@ def violation_interval(
     theta_star, b_star = b_max(knowledge, gate_model, mb_sign)
     if b_star <= 1.0 + max(1e-12, _PEAK_ROUNDOFF / knowledge):
         return None
-    meter = qcore.from_knowledge(knowledge)
     thetas = np.linspace(0.0, _TWO_PI, _SEARCH_GRID, endpoint=False)
-    values = _estimates(*_probability_matrix(thetas, meter, gate_model).T, knowledge, mb_sign).b
+    values = _estimates(*_probability_matrix(thetas, knowledge, gate_model).T, knowledge, mb_sign).b
     peak = int(np.argmax(values))
     # the peak's image nearest the grid peak, for arcs that miss the grid
     theta_star -= _TWO_PI * round((theta_star - thetas[peak]) / _TWO_PI)
@@ -486,7 +496,7 @@ def violation_interval(
 
     def excess(angles: list[float]) -> list[float]:
         reduced = np.array([theta % _TWO_PI for theta in angles])
-        return (_estimates(*_probability_matrix(reduced, meter, gate_model).T, knowledge, mb_sign).b - 1.0).tolist()
+        return (_estimates(*_probability_matrix(reduced, knowledge, gate_model).T, knowledge, mb_sign).b - 1.0).tolist()
 
     def predicted_excess(theta: float) -> float:
         # B - 1 = (n - d).x / d.x with d.x > 0, so this has the sign of B - 1

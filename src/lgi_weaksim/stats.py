@@ -68,8 +68,8 @@ class EstimateWithError:
 class TrialPlan:
     """Monte Carlo schedule: pairs per trial, trial count, master seed.
 
-    Raises ValueError unless 1 <= n_pairs <= 2**53, 1 <= n_trials <= 2**32
-    and master_seed >= 0.
+    Raises ValueError unless each is an integer, 1 <= n_pairs <= 2**53,
+    1 <= n_trials <= 2**32 and master_seed >= 0.
     """
 
     n_pairs: int
@@ -77,6 +77,8 @@ class TrialPlan:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_pairs", "n_trials", "master_seed"):
+            object.__setattr__(self, name, experiment._require_count(getattr(self, name), name))
         if not 1 <= self.n_pairs <= MAX_PAIRS:
             raise ValueError(f"n_pairs must lie in [1, 2**53], got {self.n_pairs!r}")
         if not 1 <= self.n_trials <= MAX_TRIALS:

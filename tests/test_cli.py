@@ -327,6 +327,22 @@ def test_cli_import_leaves_the_gate_channel_unbuilt():
     assert "currsize=0" in _after_cli_import(probe)
 
 
+def test_cli_import_and_parser_leave_qcore_and_stats_unloaded():
+    # only mc samples, so only mc pays for the meter objects and the sampler
+    probe = ("lgi_weaksim.cli.build_parser(); "
+             "print([m for m in ('lgi_weaksim.qcore', 'lgi_weaksim.stats') if m in sys.modules])")
+    assert _after_cli_import(probe) == "[]"
+
+
+def test_mc_in_a_fresh_interpreter_matches_its_golden_digest(tmp_path):
+    # mc loads qcore and stats on demand; its bytes must not depend on who loaded them first
+    argv, digest = MC_GOLDEN[1]
+    out = tmp_path / "mc.csv"
+    probe = f"sys.exit(lgi_weaksim.cli.main(['mc', *{list(argv)!r}, '--out', {str(out)!r}, '--quiet']))"
+    assert _after_cli_import(probe) == ""
+    assert body_digest(out) == digest
+
+
 def test_build_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
@@ -485,6 +501,17 @@ def test_written_files_get_the_mode_open_would_give(tmp_path, umask_022):
     for _ in range(2):  # a fresh file, then an overwritten one
         assert run_cli("gate", "--visibility", 0.9, "--out", out, "--quiet") == 0
         assert out.stat().st_mode & 0o777 == 0o644
+
+
+def test_writes_never_touch_the_process_umask(tmp_path, monkeypatch):
+    # the umask is process-global, and scripts call cli.main in-process
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    out = tmp_path / "gate.csv"
+    assert run_cli("gate", "--visibility", 0.9, "--out", out, "--quiet") == 0
+    assert out.exists() and [path.name for path in tmp_path.iterdir()] == ["gate.csv"]
 
 
 def test_failed_write_names_the_given_path(tmp_path, capsys, monkeypatch):

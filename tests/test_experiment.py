@@ -109,7 +109,7 @@ def test_engine_rows_equal_qcore_reference_bit_for_bit(kind, batch):
         angles = rng.uniform(-60.0, 60.0, batch)
         slot = int(rng.integers(batch))
         angles[slot] = theta
-        row = experiment._probability_matrix(angles, meter, gate)[slot]
+        row = experiment._probability_matrix(angles, knowledge, gate)[slot]
         assert np.array_equal(row, expected), (knowledge, xi, theta)
         table = experiment.run(experiment.ExperimentConfig(theta=theta, meter=meter, gate_model=gate))
         assert np.array_equal(table.as_array(), expected), (knowledge, xi, theta)
@@ -119,10 +119,9 @@ def test_engine_rows_equal_qcore_reference_bit_for_bit(kind, batch):
 def test_engine_rows_do_not_depend_on_batch_size(gate):
     angles = np.random.default_rng(7).uniform(-60.0, 60.0, 512)
     for knowledge in (1e-9, 0.00348113, K_WEAK, K_STRONG, 1.0):
-        meter = qcore.from_knowledge(knowledge)
-        batch = experiment._probability_matrix(angles, meter, gate)
+        batch = experiment._probability_matrix(angles, knowledge, gate)
         for i in range(len(angles)):
-            single = experiment._probability_matrix(angles[i:i + 1], meter, gate)[0]
+            single = experiment._probability_matrix(angles[i:i + 1], knowledge, gate)[0]
             assert np.array_equal(batch[i], single), (knowledge, angles[i])
 
 
@@ -276,7 +275,7 @@ def test_violation_is_the_strange_weak_value(log_k, xi, kind, mb_sign, angles, n
     # the paper's one-to-one correspondence, for any gate, exact or counted
     knowledge = max(10.0**log_k, experiment.MIN_KNOWLEDGE)
     gate = experiment.IDEAL_GATE if kind == "ideal" else experiment.GateModel(kind="ppbs", visibility=xi)
-    probs = experiment._probability_matrix(np.array(angles), qcore.from_knowledge(knowledge), gate)
+    probs = experiment._probability_matrix(np.array(angles), knowledge, gate)
     est = experiment._estimates(*probs.T, knowledge, mb_sign)
     assert_violation_is_strange_weak_value(est.b, est.psel, mb_sign * est.wv, knowledge)
     plan = stats.TrialPlan(n_pairs=n_pairs, n_trials=4)

@@ -54,9 +54,10 @@ def test_from_knowledge_rejects_out_of_range():
         qcore.from_knowledge(1.1)
 
 
-def test_meter_setting_rejects_inconsistent_fields():
+@pytest.mark.parametrize("knowledge", [-0.1, -5e-324, 1.0 + 2.0**-52, 1.1, math.nan, math.inf, -math.inf])
+def test_meter_setting_rejects_knowledge_outside_the_unit_interval(knowledge):
     with pytest.raises(ValueError):
-        qcore.MeterSetting(gamma=1.0, gamma_bar=1.0, knowledge=0.0)
+        qcore.MeterSetting(knowledge)
 
 
 @given(thetas)

@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from lgi_weaksim import experiment, optics, qcore
+from lgi_weaksim import experiment, optics
 
 TWO_PI = 2.0 * math.pi
 SEARCH_GRID = 1024
@@ -52,10 +52,8 @@ def reference_bisect(f, a, b, xtol):
 
 
 def reference_scalar_b(knowledge, gate_model, mb_sign):
-    meter = qcore.from_knowledge(knowledge)
-
     def scalar_b(theta):
-        row = experiment._probability_matrix(np.array([theta]), meter, gate_model)[0]
+        row = experiment._probability_matrix(np.array([theta]), knowledge, gate_model)[0]
         return experiment._estimates(*row.tolist(), knowledge, mb_sign).b
 
     return scalar_b
@@ -76,10 +74,9 @@ def reference_violation_interval(knowledge, gate_model=experiment.IDEAL_GATE, mb
     if b_star <= 1.0 + 1e-12:
         return None
     scalar_b = reference_scalar_b(knowledge, gate_model, mb_sign)
-    meter = qcore.from_knowledge(knowledge)
     thetas = np.linspace(0.0, TWO_PI, SEARCH_GRID, endpoint=False)
     values = experiment._estimates(
-        *experiment._probability_matrix(thetas, meter, gate_model).T, knowledge, mb_sign).b
+        *experiment._probability_matrix(thetas, knowledge, gate_model).T, knowledge, mb_sign).b
     peak = int(np.argmax(values))
     theta_star -= TWO_PI * round((theta_star - thetas[peak]) / TWO_PI)
 
@@ -279,7 +276,7 @@ def test_cached_gate_channel_equals_rebuilt_map():
 
 def reference_trig_coefficients(knowledge, gate_model):
     """The prepared-state terms built with one np.kron each."""
-    mu = experiment._meter_amplitudes(qcore.from_knowledge(knowledge))
+    mu = experiment._meter_amplitudes(knowledge)
     rho = np.array([np.kron(term, np.outer(mu, mu.conj())) for term in experiment._SIGNAL_TERMS])
     if gate_model.kind == "ideal":
         out = rho * experiment._CZ_SIGNS

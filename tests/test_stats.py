@@ -70,6 +70,29 @@ def test_trial_plan_validation():
         stats.TrialPlan(n_pairs=10, n_trials=10, master_seed=-1)
 
 
+@pytest.mark.parametrize("run", [
+    # np.arange(2.5) would run 3 trials
+    lambda: stats.run_trials(stats.TrialPlan(n_pairs=1000, n_trials=2.5), config_for(THETA_CORNER, K_STRONG)),
+    # the multinomial would draw 1000 pairs
+    lambda: stats.TrialPlan(n_pairs=1000.5, n_trials=3),
+    # the seed's word split would raise TypeError
+    lambda: stats.TrialPlan(n_pairs=1000, n_trials=3, master_seed=1.5),
+    # np.linspace would raise TypeError
+    lambda: experiment.theta_sweep(0.5, grid=experiment.ThetaGrid(0.0, 1.0, 3.0)),
+], ids=["n_trials", "n_pairs", "master_seed", "grid_steps"])
+def test_counts_that_are_not_integers_are_rejected(run):
+    with pytest.raises(ValueError, match="must be an integer"):
+        run()
+
+
+def test_numpy_integer_counts_are_accepted_as_ints():
+    plan = stats.TrialPlan(n_pairs=np.int64(1000), n_trials=np.uint32(3), master_seed=np.uint64(2**64 - 1))
+    assert plan == stats.TrialPlan(n_pairs=1000, n_trials=3, master_seed=2**64 - 1)
+    assert type(plan.master_seed) is int
+    grid = experiment.ThetaGrid(0.0, 1.0, np.int32(3))
+    assert type(grid.steps) is int and len(experiment.theta_sweep(0.5, grid=grid)) == 3
+
+
 def test_sample_counts_degenerate_table_lands_in_one_cell():
     table = experiment.ProbabilityTable(1.0, 0.0, 0.0, 0.0)
     counts = stats.sample_counts(table, 500, rng=0)
