@@ -3,13 +3,14 @@ variable-strength polarization measurement.
 
 The package layers are:
 
-- :mod:`lgi_weaksim.qcore` - the meter setting (the measurement strength K)
-  and an object-level reference of polarization states and the
-  controlled-sign coupling.
+- :mod:`lgi_weaksim.qcore` - the tests' object-level reference: the meter
+  setting (the measurement strength K), polarization states and the
+  controlled-sign coupling. No command loads it.
 - :mod:`lgi_weaksim.optics` - the paper's fixed PPBS network realizing the
   gate, with a photon-distinguishability model, as a quantum channel.
-- :mod:`lgi_weaksim.experiment` - the protocol: outcome probabilities,
-  correlator and weak-value estimators, sweeps and extrema.
+- :mod:`lgi_weaksim.experiment` - the protocol on plain values: outcome
+  probabilities, one ``Estimates`` tuple of correlator and weak-value
+  estimators, sweeps and extrema.
 - :mod:`lgi_weaksim.stats` - multinomial count sampling, propagated errors
   and Monte Carlo trial ensembles.
 - :mod:`lgi_weaksim.cli` - CSV-emitting command-line harness.

@@ -296,8 +296,8 @@ def _cmd_gate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_mc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    # imported here so that the commands that do not sample never load them
-    from . import qcore, stats
+    # imported here so that the commands that do not sample never load it
+    from . import stats
 
     _check_strength(parser, args.k)
     if not 1 <= args.pairs <= stats.MAX_PAIRS:
@@ -308,7 +308,7 @@ def _cmd_mc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error(f"--theta must be finite, got {args.theta!r}")
 
     plan = stats.TrialPlan(n_pairs=args.pairs, n_trials=args.trials, master_seed=args.seed)
-    config = experiment.ExperimentConfig(theta=args.theta, meter=qcore.from_knowledge(args.k))
+    config = experiment.ExperimentConfig(theta=args.theta, knowledge=args.k)
     summary = stats.run_trials(plan, config)
 
     header = ("trial", "b", "b_sigma", "b_significance", "wv", "wv_sigma")

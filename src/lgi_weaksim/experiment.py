@@ -29,18 +29,16 @@ so wherever p_D > 0, B > 1 exactly when mb_sign * wv > 1.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import optics
 from .errors import DegenerateConditioningError, ZeroStrengthError
-
-if TYPE_CHECKING:
-    from .qcore import MeterSetting
 
 # Estimators divide by K; below this guard the calibration is undefined.
 MIN_KNOWLEDGE = 1e-9
@@ -86,16 +84,21 @@ IDEAL_GATE = GateModel()
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One protocol setting: preparation angle, meter strength, conventions."""
+    """One protocol setting: preparation angle, measurement strength K, conventions.
+
+    Raises ZeroStrengthError for K below 1e-9 and ValueError for any other K
+    outside [1e-9, 1] (NaN and non-reals included).
+    """
 
     theta: float
-    meter: MeterSetting
+    knowledge: float                  # K in [1e-9, 1]
     mb_sign: int = +1                 # Mb = +S1 or -S1
     gate_model: GateModel = IDEAL_GATE
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta!r}")
+        object.__setattr__(self, "knowledge", _require_strength(self.knowledge))
         _require_sign(self.mb_sign)
 
 
@@ -110,6 +113,8 @@ class ProbabilityTable:
 
     def __post_init__(self) -> None:
         values = self.as_array()
+        if not np.isfinite(values).all():
+            raise ValueError(f"probabilities must be finite, got {values!r}")
         if np.any(values < -1e-12) or np.any(values > 1.0 + 1e-12):
             raise ValueError(f"probabilities must lie in [0, 1], got {values!r}")
         if abs(float(values.sum()) - 1.0) > 1e-12:
@@ -122,38 +127,6 @@ class ProbabilityTable:
     def postselect_d(self) -> float:
         """Probability of finding the signal in D (the post-selection branch)."""
         return self.p_dd + self.p_ad
-
-
-@dataclass(frozen=True)
-class LGRecord:
-    """The three correlator terms and the assembled B value."""
-
-    s1_mean: float
-    s2_mean: float
-    s1s2_corr: float
-    b: float
-    mb_sign: int
-
-    def __post_init__(self) -> None:
-        expected = self.mb_sign * self.s1_mean + self.mb_sign * self.s1s2_corr - self.s2_mean
-        if abs(self.b - expected) > 1e-12:
-            raise ValueError("LGRecord fields violate b = mb*s1 + mb*s1s2 - s2")
-
-
-@dataclass(frozen=True)
-class WeakValueRecord:
-    """Post-selected weak value and the probability of the selected branch.
-
-    wv is NaN only for sweep rows whose post-selection probability fell
-    below the degeneracy guard; the scalar entry point raises instead.
-    """
-
-    wv: float
-    postselection_probability: float
-
-    def __post_init__(self) -> None:
-        if not -1e-12 <= self.postselection_probability <= 1.0 + 1e-12:
-            raise ValueError("postselection probability must lie in [0, 1]")
 
 
 def _require_count(value: int, name: str) -> int:
@@ -187,6 +160,9 @@ FULL_TURN = ThetaGrid(0.0, _TWO_PI, 256)
 
 
 def _require_strength(knowledge: float) -> float:
+    """K as a float; ZeroStrengthError below 1e-9, ValueError for anything else outside [1e-9, 1]."""
+    if not isinstance(knowledge, numbers.Real):
+        raise ValueError(f"measurement strength K must be a real number in [{MIN_KNOWLEDGE}, 1], got {knowledge!r}")
     if knowledge < MIN_KNOWLEDGE:
         raise ZeroStrengthError(
             f"measurement strength K={knowledge!r} is below {MIN_KNOWLEDGE}; "
@@ -194,7 +170,7 @@ def _require_strength(knowledge: float) -> float:
         )
     if not knowledge <= 1.0:    # also NaN
         raise ValueError(f"measurement strength K must lie in [{MIN_KNOWLEDGE}, 1], got {knowledge!r}")
-    return knowledge
+    return float(knowledge)
 
 
 def _require_sign(mb_sign: int) -> None:
@@ -219,7 +195,7 @@ _CZ_SIGNS = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
 
 
 def _meter_amplitudes(knowledge: float) -> np.ndarray:
-    # the (H, V) amplitudes of gamma|D> + gamma_bar|A>, with qcore.MeterSetting's gammas
+    # the (H, V) amplitudes of gamma|D> + gamma_bar|A>
     g, gb = math.sqrt((1.0 + knowledge) / 2.0), math.sqrt((1.0 - knowledge) / 2.0)
     return np.array([(g + gb) * _INV_SQRT2, (g - gb) * _INV_SQRT2], dtype=complex)
 
@@ -227,14 +203,14 @@ def _meter_amplitudes(knowledge: float) -> np.ndarray:
 def _probability_matrix(thetas: np.ndarray, knowledge: float, gate_model: GateModel) -> np.ndarray:
     """The probability engine: rows of (p_dd, p_da, p_ad, p_aa) for an angle array.
 
-    Each row equals, bit for bit and at any batch size, what qcore's object
-    path gives for that angle and strength K (``tensor`` of ``ket_signal``
-    and ``meter_ket``, then ``apply_cz`` or the gate map, then
-    ``measure_joint``). Every product below is a stack of the complex BLAS
-    calls that path makes per state: a dot product for ``np.vdot``, a
-    matrix-vector product for the map and for ``rho @ proj``. A real or
-    fused form sums in another order and changes the last bit of some CSV
-    cells.
+    Each row equals, bit for bit and at any batch size, what the
+    one-state-at-a-time object path gives for that angle and strength K (the
+    tensor product of the signal and meter kets, then the sign flip or the
+    gate map, then the joint projective measurement). Every product below
+    is a stack of the complex BLAS calls that path makes per state: a dot
+    product for ``np.vdot``, a matrix-vector product for the map and for
+    ``rho @ proj``. A real or fused form sums in another order and changes
+    the last bit of some CSV cells.
     """
     thetas = np.asarray(thetas, dtype=float)
     mu = _meter_amplitudes(knowledge)
@@ -301,11 +277,17 @@ def _null_points(u: np.ndarray, w: np.ndarray) -> list[float]:
 
 def run(config: ExperimentConfig) -> ProbabilityTable:
     """Exact joint outcome probabilities for one protocol setting."""
-    row = _probability_matrix(np.array([config.theta]), config.meter.knowledge, config.gate_model)[0]
+    row = _probability_matrix(np.array([config.theta]), config.knowledge, config.gate_model)[0]
     return ProbabilityTable(*row.tolist())
 
 
-class _Estimates(NamedTuple):
+class Estimates(NamedTuple):
+    """Every estimator of one setting, or arrays of them over a sweep's angles.
+
+    b follows the setting's mb_sign; wv is the weak value of S1 itself, so
+    B(+S1) > 1 where wv > 1 and B(-S1) > 1 where wv < -1.
+    """
+
     s1: float | np.ndarray
     s2: float | np.ndarray
     s1s2: float | np.ndarray
@@ -314,7 +296,7 @@ class _Estimates(NamedTuple):
     wv: float | np.ndarray         # S1 weak value on that branch; NaN if degenerate
 
 
-def _estimates(p_dd, p_da, p_ad, p_aa, knowledge: float, mb_sign: int = +1) -> _Estimates:
+def _estimates(p_dd, p_da, p_ad, p_aa, knowledge: float, mb_sign: int = +1) -> Estimates:
     """Every estimator as a contrast of the joint probabilities, written once.
 
     Takes floats or equal-length arrays; the caller has validated K. The
@@ -327,16 +309,11 @@ def _estimates(p_dd, p_da, p_ad, p_aa, knowledge: float, mb_sign: int = +1) -> _
     psel = p_dd + p_ad
     wv = np.divide(p_dd - p_ad, knowledge * psel, out=np.full(np.shape(psel), np.nan),
                    where=psel >= MIN_POSTSELECTION)
-    return _Estimates(s1, s2, s1s2, b, psel, wv)
+    return Estimates(s1, s2, s1s2, b, psel, wv)
 
 
-def _table_estimates(table: ProbabilityTable, knowledge: float, mb_sign: int = +1) -> _Estimates:
+def _table_estimates(table: ProbabilityTable, knowledge: float, mb_sign: int = +1) -> Estimates:
     return _estimates(table.p_dd, table.p_da, table.p_ad, table.p_aa, knowledge, mb_sign)
-
-
-def s1_mean(table: ProbabilityTable, knowledge: float) -> float:
-    """Calibrated weak S1 estimate (P(D) - P(A))/K from the meter marginal."""
-    return _table_estimates(table, _require_strength(knowledge)).s1
 
 
 def s2_mean(table: ProbabilityTable) -> float:
@@ -344,30 +321,22 @@ def s2_mean(table: ProbabilityTable) -> float:
     return _table_estimates(table, 1.0).s2  # S2 does not involve K
 
 
-def s1s2_correlator(table: ProbabilityTable, knowledge: float) -> float:
-    """Product correlator of the meter and signal readouts, divided by K like S1."""
-    return _table_estimates(table, _require_strength(knowledge)).s1s2
+def lg_b(config: ExperimentConfig) -> Estimates:
+    """Every estimator for one setting, as Python floats; b is the Leggett-Garg correlator."""
+    return Estimates._make(map(float, _table_estimates(run(config), config.knowledge, config.mb_sign)))
 
 
-def lg_b(config: ExperimentConfig) -> LGRecord:
-    """Assemble the generalized Leggett-Garg correlator for one setting."""
-    knowledge = _require_strength(config.meter.knowledge)
-    est = _table_estimates(run(config), knowledge, config.mb_sign)
-    return LGRecord(s1_mean=est.s1, s2_mean=est.s2, s1s2_corr=est.s1s2, b=est.b, mb_sign=config.mb_sign)
+def weak_value(config: ExperimentConfig) -> float:
+    """K-calibrated weak value on the signal-D post-selection, times the configured mb_sign.
 
-
-def weak_value(config: ExperimentConfig) -> WeakValueRecord:
-    """K-calibrated weak value on the signal-D post-selection.
-
-    The configured mb_sign multiplies the weak value.
+    Raises DegenerateConditioningError when that branch's probability is below 1e-12.
     """
-    knowledge = _require_strength(config.meter.knowledge)
-    est = _table_estimates(run(config), knowledge)
+    est = lg_b(config)
     if est.psel < MIN_POSTSELECTION:
         raise DegenerateConditioningError(
             f"post-selection probability {est.psel!r} below {MIN_POSTSELECTION}"
         )
-    return WeakValueRecord(wv=config.mb_sign * float(est.wv), postselection_probability=est.psel)
+    return config.mb_sign * est.wv
 
 
 def theta_sweep(
@@ -375,30 +344,16 @@ def theta_sweep(
     mb_sign: int = +1,
     gate_model: GateModel = IDEAL_GATE,
     grid: ThetaGrid = FULL_TURN,
-) -> list[tuple[float, LGRecord, WeakValueRecord]]:
-    """Evaluate the correlator and weak value on a uniform angle grid.
+) -> Estimates:
+    """Every estimator on a uniform angle grid, as arrays over ``grid.values()``.
 
-    mb_sign selects the correlator convention for the LG records; the
-    weak-value records always report the S1 weak value itself, so a single
-    column pairs with either sign (B(+S1) > 1 where wv > 1, B(-S1) > 1
-    where wv < -1). Rows with degenerate post-selection carry wv = NaN.
+    mb_sign selects the correlator convention for b; wv is the S1 weak value
+    for either sign. Angles with degenerate post-selection carry wv = NaN.
     Raises ValueError unless mb_sign is +1 or -1.
     """
     _require_strength(knowledge)
     _require_sign(mb_sign)
-    thetas = grid.values()
-    probs = _probability_matrix(thetas, knowledge, gate_model)
-    # sweep rows report the weak value of S1 itself; the Mb sign enters b only
-    est = _estimates(*probs.T, knowledge, mb_sign)
-    return [
-        (
-            float(thetas[i]),
-            LGRecord(s1_mean=float(est.s1[i]), s2_mean=float(est.s2[i]), s1s2_corr=float(est.s1s2[i]),
-                     b=float(est.b[i]), mb_sign=mb_sign),
-            WeakValueRecord(wv=float(est.wv[i]), postselection_probability=float(est.psel[i])),
-        )
-        for i in range(len(thetas))
-    ]
+    return _estimates(*_probability_matrix(grid.values(), knowledge, gate_model).T, knowledge, mb_sign)
 
 
 def _bisect(f, predict, a: float, b: float, fa: float, fb: float, xtol: float) -> float:

@@ -157,8 +157,9 @@ def ket_signal(theta: float) -> PureState:
 def from_knowledge(knowledge: float) -> MeterSetting:
     """Construct the meter setting realizing a given measurement strength K.
 
-    K = 0 is constructible (the meter extracts nothing) but is rejected later
-    by every estimator that divides by K.
+    K = 0 is constructible (the meter extracts nothing), but
+    ``experiment.ExperimentConfig`` and every estimator that divides by K
+    reject it.
     """
     return MeterSetting(knowledge)
 

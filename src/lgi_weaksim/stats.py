@@ -36,6 +36,8 @@ class CountTable:
     n_aa: int
 
     def __post_init__(self) -> None:
+        for name in ("n_dd", "n_da", "n_ad", "n_aa"):
+            object.__setattr__(self, name, experiment._require_count(getattr(self, name), name))
         counts = (self.n_dd, self.n_da, self.n_ad, self.n_aa)
         if any(c < 0 for c in counts):
             raise ValueError(f"counts must be nonnegative, got {counts!r}")
@@ -303,7 +305,7 @@ def run_trials(plan: TrialPlan, config: experiment.ExperimentConfig) -> TrialSum
     Trial i draws from ``default_rng([master_seed, i])`` so any single trial
     can be reproduced without regenerating the ensemble.
     """
-    knowledge = experiment._require_strength(config.meter.knowledge)
+    knowledge = config.knowledge
     table = experiment.run(config)
     true_b = experiment._table_estimates(table, knowledge, config.mb_sign).b
     counts = _sample_trials(table, plan)

@@ -183,6 +183,32 @@ def wv_from_count_vector(n, knowledge, mb_sign=+1):
     return mb_sign * (n_dd - n_ad) / (knowledge * (n_dd + n_ad))
 
 
+# exact per-pair variances of the count estimators: N pairs give Var = V / N
+
+def b_variance_per_pair(probs, knowledge, mb_sign=+1):
+    """V1 = sum c_i^2 p_i - B^2, the variance of one pair's contribution to B.
+
+    B = sum c_i p_i with c = (2 Mb/K - 1, 1, -2 Mb/K - 1, 1) over
+    (dd, da, ad, aa), read off Mb (s1 + s1s2) - s2 term by term. B-hat from
+    N multinomial pairs is linear in the counts, so Var[B-hat] = V1 / N.
+    """
+    c = (2.0 * mb_sign / knowledge - 1.0, 1.0, -2.0 * mb_sign / knowledge - 1.0, 1.0)
+    b = sum(ci * pi for ci, pi in zip(c, probs))
+    return sum(ci * ci * pi for ci, pi in zip(c, probs)) - b * b
+
+
+def wv_variance_per_pair(probs, knowledge):
+    """Delta-method variance of the weak value, per pair: 4 q (1 - q) / (K^2 p_D).
+
+    Of N pairs about N p_D survive the signal-D post-selection, and each
+    finds the meter in D with probability q = p_dd / p_D; wv = (2 q - 1) / K,
+    so Var[wv-hat] = (2 / K)^2 q (1 - q) / (N p_D) to first order.
+    """
+    p_dd, _, p_ad, _ = probs
+    p_d = p_dd + p_ad
+    return 4.0 * (p_dd / p_d) * (p_ad / p_d) / (knowledge * knowledge * p_d)
+
+
 def finite_difference_sigma(func, counts):
     """Poisson propagation with a numerically differentiated gradient."""
     counts = np.asarray(counts, dtype=float)

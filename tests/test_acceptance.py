@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from lgi_weaksim import experiment, optics, qcore, stats
+from lgi_weaksim import experiment, optics, stats
 
 TWO_PI = 2.0 * math.pi
 K_STRONG = 0.5445
@@ -27,9 +27,7 @@ def _report(number, ok, detail):
 
 
 def _visibility_ratio(knowledge):
-    config = experiment.ExperimentConfig(
-        theta=math.pi / 2.0, meter=qcore.from_knowledge(knowledge)
-    )
+    config = experiment.ExperimentConfig(theta=math.pi / 2.0, knowledge=knowledge)
     return experiment.s2_mean(experiment.run(config)) / math.sin(math.pi / 2.0)
 
 
@@ -107,9 +105,8 @@ def test_criterion_4_violation_matches_strange_weak_value():
     violations = 0
     for knowledge in (0.05, 0.1598, 0.3, 0.5445, 0.8):
         for mb_sign in (+1, -1):
-            rows = experiment.theta_sweep(knowledge, mb_sign, experiment.IDEAL_GATE, grid)
-            b = np.array([lg.b for _, lg, _ in rows])
-            wv = np.array([weak.wv for _, _, weak in rows])
+            sweep = experiment.theta_sweep(knowledge, mb_sign, experiment.IDEAL_GATE, grid)
+            b, wv = sweep.b, sweep.wv
             clear = (np.abs(b - 1.0) > 1e-9) & (np.abs(np.abs(wv) - 1.0) > 1e-9)
             strange = wv < -1.0 if mb_sign < 0 else wv > 1.0
             agree = bool(((b > 1.0) == strange)[clear].all())
@@ -141,8 +138,7 @@ def test_criterion_5_correlator_bounds():
                 for xi in (0.0, 0.25, 0.5, 0.75, 1.0)
             ]
             for gate in gates:
-                rows = experiment.theta_sweep(knowledge, mb_sign, gate, grid)
-                b = np.array([lg.b for _, lg, _ in rows])
+                b = experiment.theta_sweep(knowledge, mb_sign, gate, grid).b
                 lo = min(lo, float(b.min()))
                 hi = max(hi, float(b.max()))
                 if gate.kind == "ideal":
@@ -187,26 +183,24 @@ def test_criterion_6_gentler_measurement_violates_more():
 def _sweep_columns(theta, config):
     table = experiment.run(config)
     record = experiment.lg_b(config)
-    weak = experiment.weak_value(config)
     return (
-        theta, config.meter.knowledge, float(config.mb_sign),
+        theta, config.knowledge, float(config.mb_sign),
         table.p_dd, table.p_da, table.p_ad, table.p_aa,
-        record.s1_mean, record.s2_mean, record.s1s2_corr, record.b,
-        weak.wv, table.postselect_d,
+        record.s1, record.s2, record.s1s2, record.b,
+        experiment.weak_value(config), table.postselect_d,
     )
 
 
 def test_criterion_7_perfect_interference_reproduces_ideal_gate():
     start = time.perf_counter()
-    meter = qcore.from_knowledge(K_STRONG)
     ppbs = experiment.GateModel(kind="ppbs", visibility=1.0)
     worst = 0.0
     for theta in np.linspace(0.0, TWO_PI, 256):
         ideal_row = _sweep_columns(
-            theta, experiment.ExperimentConfig(theta=theta, meter=meter)
+            theta, experiment.ExperimentConfig(theta=theta, knowledge=K_STRONG)
         )
         ppbs_row = _sweep_columns(
-            theta, experiment.ExperimentConfig(theta=theta, meter=meter, gate_model=ppbs)
+            theta, experiment.ExperimentConfig(theta=theta, knowledge=K_STRONG, gate_model=ppbs)
         )
         worst = max(worst, max(abs(a - b) for a, b in zip(ideal_row, ppbs_row)))
     success = optics.effective_map(1.0).success_probability
@@ -228,9 +222,7 @@ def test_criterion_7_perfect_interference_reproduces_ideal_gate():
 
 def test_criterion_8_propagated_errors_are_calibrated():
     start = time.perf_counter()
-    config = experiment.ExperimentConfig(
-        theta=7.0 * math.pi / 4.0, meter=qcore.from_knowledge(K_STRONG)
-    )
+    config = experiment.ExperimentConfig(theta=7.0 * math.pi / 4.0, knowledge=K_STRONG)
     plan = stats.TrialPlan(n_pairs=100_000, n_trials=300, master_seed=0)
     summary = stats.run_trials(plan, config)
     ratio = summary.spread / summary.mean_sigma
@@ -253,9 +245,8 @@ def test_criterion_8_propagated_errors_are_calibrated():
 def test_criterion_9_weak_limit_recovers_textbook_weak_value():
     start = time.perf_counter()
     grid = experiment.ThetaGrid(0.0, TWO_PI, 1024)
-    rows = experiment.theta_sweep(1e-6, +1, experiment.IDEAL_GATE, grid)
-    thetas = np.array([theta for theta, _, _ in rows])
-    wv = np.array([weak.wv for _, _, weak in rows])
+    thetas = grid.values()
+    wv = experiment.theta_sweep(1e-6, +1, experiment.IDEAL_GATE, grid).wv
     keep = np.abs(thetas - 1.5 * math.pi) > 0.1
     half = thetas[keep] / 2.0
     aav = (np.cos(half) - np.sin(half)) / (np.cos(half) + np.sin(half))

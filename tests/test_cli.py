@@ -328,18 +328,19 @@ def test_cli_import_leaves_the_gate_channel_unbuilt():
 
 
 def test_cli_import_and_parser_leave_qcore_and_stats_unloaded():
-    # only mc samples, so only mc pays for the meter objects and the sampler
+    # no command loads qcore, and only mc samples, so only mc pays for the sampler
     probe = ("lgi_weaksim.cli.build_parser(); "
              "print([m for m in ('lgi_weaksim.qcore', 'lgi_weaksim.stats') if m in sys.modules])")
     assert _after_cli_import(probe) == "[]"
 
 
 def test_mc_in_a_fresh_interpreter_matches_its_golden_digest(tmp_path):
-    # mc loads qcore and stats on demand; its bytes must not depend on who loaded them first
+    # mc loads stats on demand and never qcore; its bytes must not depend on who loaded stats first
     argv, digest = MC_GOLDEN[1]
     out = tmp_path / "mc.csv"
-    probe = f"sys.exit(lgi_weaksim.cli.main(['mc', *{list(argv)!r}, '--out', {str(out)!r}, '--quiet']))"
-    assert _after_cli_import(probe) == ""
+    probe = (f"code = lgi_weaksim.cli.main(['mc', *{list(argv)!r}, '--out', {str(out)!r}, '--quiet']); "
+             "print([m for m in ('lgi_weaksim.qcore', 'lgi_weaksim.stats') if m in sys.modules]); sys.exit(code)")
+    assert _after_cli_import(probe) == "['lgi_weaksim.stats']"
     assert body_digest(out) == digest
 
 

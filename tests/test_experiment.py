@@ -36,9 +36,7 @@ visibilities = st.floats(0.0, 1.0)
 
 
 def config_for(theta, knowledge, mb_sign=+1, **kwargs):
-    return experiment.ExperimentConfig(
-        theta=theta, meter=qcore.from_knowledge(knowledge), mb_sign=mb_sign, **kwargs
-    )
+    return experiment.ExperimentConfig(theta=theta, knowledge=knowledge, mb_sign=mb_sign, **kwargs)
 
 
 def reference_probabilities(theta, meter, gate_model):
@@ -89,12 +87,10 @@ def test_run_strong_measurement_of_diagonal_is_uniform():
     assert table.as_array() == pytest.approx([0.25] * 4, abs=1e-12)
 
 
-def test_run_with_zero_strength_meter():
-    # K=0 extracts nothing; run itself never divides by K
-    table = experiment.run(config_for(math.pi / 2.0, 0.0))
-    assert table.p_dd + table.p_da == pytest.approx(0.5, abs=1e-12)
+def test_zero_strength_config_is_rejected():
+    # K=0 extracts nothing, and every estimator of the setting divides by K
     with pytest.raises(ZeroStrengthError):
-        experiment.s1_mean(table, 0.0)
+        config_for(math.pi / 2.0, 0.0)
 
 
 @pytest.mark.parametrize("batch", [1, 2, 1024])
@@ -111,7 +107,7 @@ def test_engine_rows_equal_qcore_reference_bit_for_bit(kind, batch):
         angles[slot] = theta
         row = experiment._probability_matrix(angles, knowledge, gate)[slot]
         assert np.array_equal(row, expected), (knowledge, xi, theta)
-        table = experiment.run(experiment.ExperimentConfig(theta=theta, meter=meter, gate_model=gate))
+        table = experiment.run(experiment.ExperimentConfig(theta=theta, knowledge=knowledge, gate_model=gate))
         assert np.array_equal(table.as_array(), expected), (knowledge, xi, theta)
 
 
@@ -138,20 +134,15 @@ def test_estimator_identities_on_reference_grid():
     # s1 = cos, s2 = sin * sqrt(1-K^2), s1s2 = 0, each within 1e-10
     for knowledge in INVARIANT_STRENGTHS:
         for theta in INVARIANT_GRID:
-            table = experiment.run(config_for(float(theta), knowledge))
-            assert experiment.s1_mean(table, knowledge) == pytest.approx(
-                oracles.s1_closed(theta), abs=1e-10
-            )
-            assert experiment.s2_mean(table) == pytest.approx(
-                oracles.s2_closed(theta, knowledge), abs=1e-10
-            )
-            assert experiment.s1s2_correlator(table, knowledge) == pytest.approx(0.0, abs=1e-10)
+            record = experiment.lg_b(config_for(float(theta), knowledge))
+            assert record.s1 == pytest.approx(oracles.s1_closed(theta), abs=1e-10)
+            assert record.s2 == pytest.approx(oracles.s2_closed(theta, knowledge), abs=1e-10)
+            assert record.s1s2 == pytest.approx(0.0, abs=1e-10)
 
 
 def test_s1_mean_reference_points():
     for theta, expected in ((0.0, 1.0), (math.pi, -1.0), (math.pi / 3.0, 0.5)):
-        table = experiment.run(config_for(theta, K_STRONG))
-        assert experiment.s1_mean(table, K_STRONG) == pytest.approx(expected, abs=1e-12)
+        assert experiment.lg_b(config_for(theta, K_STRONG)).s1 == pytest.approx(expected, abs=1e-12)
 
 
 def test_s2_mean_visibility_factor():
@@ -184,20 +175,20 @@ def test_lg_b_boundary_and_weak_limit():
 def test_lg_b_matches_closed_form(theta, knowledge, mb_sign):
     record = experiment.lg_b(config_for(theta, knowledge, mb_sign=mb_sign))
     assert record.b == pytest.approx(oracles.b_closed(theta, knowledge, mb_sign), abs=1e-12)
-    assembled = mb_sign * record.s1_mean + mb_sign * record.s1s2_corr - record.s2_mean
+    assembled = mb_sign * record.s1 + mb_sign * record.s1s2 - record.s2
     assert record.b == pytest.approx(assembled, abs=1e-12)
 
 
 def test_weak_value_reference_points():
-    assert experiment.weak_value(config_for(0.0, K_STRONG)).wv == pytest.approx(1.0, abs=1e-12)
+    assert experiment.weak_value(config_for(0.0, K_STRONG)) == pytest.approx(1.0, abs=1e-12)
     for knowledge in (K_WEAK, K_STRONG, 0.9):
-        assert experiment.weak_value(config_for(math.pi / 2.0, knowledge)).wv == pytest.approx(
+        assert experiment.weak_value(config_for(math.pi / 2.0, knowledge)) == pytest.approx(
             0.0, abs=1e-12
         )
-    assert experiment.weak_value(config_for(5.0 * math.pi / 4.0, K_WEAK)).wv == pytest.approx(
+    assert experiment.weak_value(config_for(5.0 * math.pi / 4.0, K_WEAK)) == pytest.approx(
         WV_5PI4_WEAK, abs=1e-12
     )
-    strange = experiment.weak_value(config_for(5.0 * math.pi / 4.0, 1e-6)).wv
+    strange = experiment.weak_value(config_for(5.0 * math.pi / 4.0, 1e-6))
     assert strange == pytest.approx(-(1.0 + math.sqrt(2.0)), abs=1e-8)
 
 
@@ -208,19 +199,14 @@ def test_weak_value_closed_form_and_postselection(theta, knowledge):
     assume(abs(theta - 3.0 * math.pi / 2.0) > 0.1)
     config = config_for(theta, knowledge)
     table = experiment.run(config)
-    record = experiment.weak_value(config)
-    assert record.postselection_probability == pytest.approx(
-        table.p_dd + table.p_ad, abs=1e-12
-    )
-    assert record.wv == pytest.approx(oracles.wv_closed(theta, knowledge), abs=1e-9)
+    assert experiment.lg_b(config).psel == pytest.approx(table.p_dd + table.p_ad, abs=1e-12)
+    assert experiment.weak_value(config) == pytest.approx(oracles.wv_closed(theta, knowledge), abs=1e-9)
 
 
 def test_weak_value_sign_convention():
     config_plus = config_for(0.8, K_STRONG, mb_sign=+1)
     config_minus = config_for(0.8, K_STRONG, mb_sign=-1)
-    assert experiment.weak_value(config_minus).wv == pytest.approx(
-        -experiment.weak_value(config_plus).wv, abs=1e-12
-    )
+    assert experiment.weak_value(config_minus) == pytest.approx(-experiment.weak_value(config_plus), abs=1e-12)
 
 
 def test_weak_value_degenerate_postselection_raises():
@@ -233,7 +219,7 @@ def test_aav_limit_away_from_pole():
     for theta in np.linspace(0.0, TWO_PI, 113):
         if abs(theta - 3.0 * math.pi / 2.0) < 0.1:
             continue
-        wv = experiment.weak_value(config_for(float(theta), 1e-6)).wv
+        wv = experiment.weak_value(config_for(float(theta), 1e-6))
         assert wv == pytest.approx(oracles.aav_limit(theta), abs=1e-4)
 
 
@@ -242,11 +228,11 @@ def test_one_to_one_violation_correspondence():
     for knowledge in INVARIANT_STRENGTHS:
         plus = experiment.theta_sweep(knowledge, +1, grid=grid)
         minus = experiment.theta_sweep(knowledge, -1, grid=grid)
-        for (_, lg_p, wv_p), (_, lg_m, wv_m) in zip(plus, minus):
-            if abs(lg_p.b - 1.0) > 1e-9:
-                assert (lg_p.b > 1.0) == (wv_p.wv > 1.0)
-            if abs(lg_m.b - 1.0) > 1e-9:
-                assert (lg_m.b > 1.0) == (wv_m.wv < -1.0)
+        for b_p, wv_p, b_m, wv_m in zip(plus.b, plus.wv, minus.b, minus.wv):
+            if abs(b_p - 1.0) > 1e-9:
+                assert (b_p > 1.0) == (wv_p > 1.0)
+            if abs(b_m - 1.0) > 1e-9:
+                assert (b_m > 1.0) == (wv_m < -1.0)
 
 
 @given(thetas, strengths)
@@ -308,11 +294,25 @@ def test_gate_model_validation():
 
 
 def test_experiment_config_validation():
-    meter = qcore.from_knowledge(K_STRONG)
     with pytest.raises(ValueError):
-        experiment.ExperimentConfig(theta=math.nan, meter=meter)
+        experiment.ExperimentConfig(theta=math.nan, knowledge=K_STRONG)
     with pytest.raises(ValueError):
-        experiment.ExperimentConfig(theta=0.1, meter=meter, mb_sign=2)
+        experiment.ExperimentConfig(theta=0.1, knowledge=K_STRONG, mb_sign=2)
+
+
+@pytest.mark.parametrize("knowledge", [1.0 + 0j, "0.5", None, qcore.from_knowledge(K_STRONG)],
+                         ids=["complex", "str", "none", "meter_setting"])
+def test_experiment_config_rejects_a_strength_that_is_not_a_real(knowledge):
+    # fails at construction, not later in run with a TypeError or AttributeError
+    with pytest.raises(ValueError, match=r"\[1e-09, 1\]"):
+        experiment.ExperimentConfig(theta=1.0, knowledge=knowledge)
+
+
+@pytest.mark.parametrize("knowledge", [np.float64(K_STRONG), np.float32(0.5), 1, np.int64(1)],
+                         ids=["float64", "float32", "int", "int64"])
+def test_experiment_config_holds_a_numpy_or_integer_strength_as_a_float(knowledge):
+    config = experiment.ExperimentConfig(theta=1.0, knowledge=knowledge)
+    assert type(config.knowledge) is float and config.knowledge == float(knowledge)
 
 
 @pytest.mark.parametrize("mb_sign", [0, 2, -3])
@@ -332,30 +332,29 @@ def test_every_entry_point_rejects_an_mb_sign_other_than_plus_or_minus_one(entry
 def test_theta_sweep_rows_match_scalar_entry_points():
     grid = experiment.ThetaGrid(0.0, TWO_PI, 17)
     for gate in (experiment.IDEAL_GATE, experiment.GateModel(kind="ppbs", visibility=0.6)):
-        for theta, lg, wv in experiment.theta_sweep(K_STRONG, -1, gate, grid):
+        sweep = experiment.theta_sweep(K_STRONG, -1, gate, grid)
+        for i, theta in enumerate(grid.values().tolist()):
             config = config_for(theta, K_STRONG, mb_sign=-1, gate_model=gate)
-            assert lg.b == pytest.approx(experiment.lg_b(config).b, abs=1e-13)
-            # sweep rows carry the S1 weak value regardless of mb_sign
+            assert tuple(field[i] for field in sweep) == pytest.approx(tuple(experiment.lg_b(config)), abs=1e-13)
+            # sweeps carry the S1 weak value regardless of mb_sign
             plus = config_for(theta, K_STRONG, mb_sign=+1, gate_model=gate)
-            assert wv.wv == pytest.approx(experiment.weak_value(plus).wv, abs=1e-13)
+            assert sweep.wv[i] == pytest.approx(experiment.weak_value(plus), abs=1e-13)
 
 
 def test_theta_sweep_contains_violation_at_moderate_strength():
-    rows = experiment.theta_sweep(K_STRONG)
-    assert max(lg.b for _, lg, _ in rows) > 1.0
+    assert experiment.theta_sweep(K_STRONG).b.max() > 1.0
 
 
 def test_theta_sweep_violation_nearly_closes_at_full_strength():
-    rows = experiment.theta_sweep(0.9999)
-    peak = max(lg.b for _, lg, _ in rows)
+    peak = experiment.theta_sweep(0.9999).b.max()
     assert 1.0 < peak < 1.0002
 
 
 def test_theta_sweep_marks_degenerate_postselection_with_nan():
     grid = experiment.ThetaGrid(3.0 * math.pi / 2.0, 3.0 * math.pi / 2.0 + 1.0, 2)
-    rows = experiment.theta_sweep(1e-9, grid=grid)
-    assert math.isnan(rows[0][2].wv)
-    assert not math.isnan(rows[1][2].wv)
+    wv = experiment.theta_sweep(1e-9, grid=grid).wv
+    assert math.isnan(wv[0])
+    assert not math.isnan(wv[1])
 
 
 def test_b_max_frozen_and_closed_form():
@@ -541,9 +540,7 @@ def test_scalar_entry_points_far_outside_one_turn(theta, knowledge, mb_sign):
         oracles.probability_table(theta, knowledge), abs=1e-13
     )
     assert experiment.lg_b(config).b == pytest.approx(oracles.b_closed(theta, knowledge, mb_sign), abs=1e-12)
-    assert experiment.weak_value(config).wv == pytest.approx(
-        oracles.wv_closed(theta, knowledge, mb_sign), abs=1e-9
-    )
+    assert experiment.weak_value(config) == pytest.approx(oracles.wv_closed(theta, knowledge, mb_sign), abs=1e-9)
 
 
 @given(thetas, strengths, visibilities, st.sampled_from((+1, -1)))
@@ -559,7 +556,3 @@ def test_ppbs_gate_matches_dense_channel_oracle(theta, knowledge, xi, mb_sign):
         oracles.ppbs_b_closed(theta, knowledge, xi, mb_sign), abs=1e-10
     )
 
-
-def test_lg_record_rejects_inconsistent_fields():
-    with pytest.raises(ValueError):
-        experiment.LGRecord(s1_mean=1.0, s2_mean=0.0, s1s2_corr=0.0, b=0.5, mb_sign=+1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from lgi_weaksim import experiment, qcore, stats
+from lgi_weaksim import experiment, stats
 from lgi_weaksim.errors import (
     InsufficientPostselectionError,
     UndefinedSignificanceError,
@@ -15,6 +15,7 @@ from lgi_weaksim.errors import (
 K_STRONG = 0.5445
 K_WEAK = 0.1598
 THETA_CORNER = 7.0 * math.pi / 4.0
+TWO_PI = 2.0 * math.pi
 
 # frozen closed-form values
 B_7PI4_WEAK = 1.4051268238787324
@@ -26,9 +27,7 @@ strengths = st.floats(0.01, 1.0)
 
 
 def config_for(theta, knowledge, **kwargs):
-    return experiment.ExperimentConfig(
-        theta=theta, meter=qcore.from_knowledge(knowledge), **kwargs
-    )
+    return experiment.ExperimentConfig(theta=theta, knowledge=knowledge, **kwargs)
 
 
 def plugin_counts(theta, knowledge, n_pairs=10**8):
@@ -48,6 +47,13 @@ def test_count_table_validation():
         stats.CountTable(-1, 2, 3, 4)
     with pytest.raises(ValueError):
         stats.CountTable(0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("cells", [(math.nan, 0.5, 0.25, 0.25), (0.25, math.inf, 0.25, 0.25)], ids=["nan", "inf"])
+def test_probability_table_rejects_non_finite_entries(cells):
+    # NaN passes every range comparison; the sampler would then leak numpy's own error
+    with pytest.raises(ValueError, match="probabilities must be finite"):
+        experiment.ProbabilityTable(*cells)
 
 
 def test_estimate_with_error_validation():
@@ -79,7 +85,10 @@ def test_trial_plan_validation():
     lambda: stats.TrialPlan(n_pairs=1000, n_trials=3, master_seed=1.5),
     # np.linspace would raise TypeError
     lambda: experiment.theta_sweep(0.5, grid=experiment.ThetaGrid(0.0, 1.0, 3.0)),
-], ids=["n_trials", "n_pairs", "master_seed", "grid_steps"])
+    # NaN passes every range comparison
+    lambda: stats.CountTable(math.nan, 1, 1, 1),
+    lambda: stats.CountTable(2.5, 1, 1, 1),
+], ids=["n_trials", "n_pairs", "master_seed", "grid_steps", "count_nan", "count_half"])
 def test_counts_that_are_not_integers_are_rejected(run):
     with pytest.raises(ValueError, match="must be an integer"):
         run()
@@ -90,7 +99,10 @@ def test_numpy_integer_counts_are_accepted_as_ints():
     assert plan == stats.TrialPlan(n_pairs=1000, n_trials=3, master_seed=2**64 - 1)
     assert type(plan.master_seed) is int
     grid = experiment.ThetaGrid(0.0, 1.0, np.int32(3))
-    assert type(grid.steps) is int and len(experiment.theta_sweep(0.5, grid=grid)) == 3
+    assert type(grid.steps) is int and len(experiment.theta_sweep(0.5, grid=grid).b) == 3
+    table = stats.CountTable(np.int64(3), np.uint8(5), 7, np.int32(11))
+    assert table == stats.CountTable(3, 5, 7, 11)
+    assert all(type(c) is int for c in (table.n_dd, table.n_da, table.n_ad, table.n_aa))
 
 
 def test_sample_counts_degenerate_table_lands_in_one_cell():
@@ -174,11 +186,10 @@ def test_estimate_lg_validation():
 
 @pytest.mark.parametrize("knowledge", [math.nan, math.inf, 2.0, 1.0 + 1e-15])
 @pytest.mark.parametrize("estimator", [
-    lambda k: experiment.s1_mean(experiment.run(config_for(1.0, K_STRONG)), k),
-    lambda k: experiment.s1s2_correlator(experiment.run(config_for(1.0, K_STRONG)), k),
+    lambda k: config_for(1.0, k),
     lambda k: stats.estimate_lg(stats.CountTable(5, 3, 2, 1), k),
     lambda k: stats.estimate_weak_value(stats.CountTable(5, 3, 2, 1), k),
-], ids=["s1_mean", "s1s2_correlator", "estimate_lg", "estimate_weak_value"])
+], ids=["ExperimentConfig", "estimate_lg", "estimate_weak_value"])
 def test_strength_outside_the_domain_is_rejected(estimator, knowledge):
     # outside [1e-9, 1] the 1/K calibration describes no meter, yet each of
     # these returns a number unless the strength is checked
@@ -222,6 +233,47 @@ def test_estimate_weak_value_sigma_matches_numerical_propagation():
         lambda n: oracles.wv_from_count_vector(n, K_STRONG), vec
     )
     assert estimate.sigma == pytest.approx(expected, rel=1e-8)
+
+
+def _variance_cases(count=400, seed=2024):
+    # K log-uniform over the whole domain plus both ends, both gates, both signs
+    rng = np.random.default_rng(seed)
+    strengths = np.concatenate([[1e-9, 1.0], 10.0 ** rng.uniform(-9.0, 0.0, count - 2)])
+    return [
+        (float(knowledge), float(rng.uniform(0.0, TWO_PI)), None if index % 4 < 2 else float(rng.uniform()),
+         (+1, -1)[index % 2])
+        for index, knowledge in enumerate(strengths)
+    ]
+
+
+def test_sigmas_at_expected_counts_equal_the_exact_per_pair_variances():
+    # at counts N p the delta-method sigmas are exact: sqrt(V1 / N) for B and the
+    # binomial sqrt(V_wv / N) for the weak value. N makes every count at least
+    # 1e6, so the floor of 1 on each Poisson variance never acts
+    for knowledge, theta, xi, mb_sign in _variance_cases():
+        if xi is None:
+            probs = np.array(oracles.probability_table(theta, knowledge))
+        else:
+            probs = np.array(oracles.ppbs_probability_table(theta, knowledge, xi))
+        counts = probs * (1e6 / probs.min())
+        n_pairs = counts.sum()
+        _, b_sigma = stats._lg_arrays(counts[None], knowledge, mb_sign)
+        _, wv_sigma = stats._weak_value_arrays(counts[None], knowledge, mb_sign)
+        case = (knowledge, theta, xi, mb_sign)
+        v1 = oracles.b_variance_per_pair(probs, knowledge, mb_sign)
+        assert b_sigma[0] == pytest.approx(math.sqrt(v1 / n_pairs), rel=1e-12), case
+        v_wv = oracles.wv_variance_per_pair(probs, knowledge)
+        assert wv_sigma[0] == pytest.approx(math.sqrt(v_wv / n_pairs), rel=1e-12), case
+
+
+def test_paper_bands_match_the_exact_variance_at_the_peak():
+    # V1 at the ideal peak theta*, and the pairs that make sqrt(V1 / N) the
+    # paper's one-sigma bands 0.022 (K = 0.5445) and 0.053 (K = 0.1598)
+    for knowledge, v1, band, pairs in ((K_STRONG, 0.874, 0.022, 1805), (K_WEAK, 21.61, 0.053, 7692)):
+        probs = oracles.probability_table(oracles.theta_at_ceiling(knowledge), knowledge)
+        exact = oracles.b_variance_per_pair(probs, knowledge)
+        assert exact == pytest.approx(v1, rel=1e-3)
+        assert math.floor(exact / band**2) == pairs
 
 
 def test_estimate_weak_value_sigma_grows_as_postselection_shrinks():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lgi_weaksim import experiment, qcore, stats
+from lgi_weaksim import experiment, stats
 
 _S1_SIGN = np.array([+1.0, +1.0, -1.0, -1.0])
 _S2_SIGN = np.array([+1.0, -1.0, +1.0, -1.0])
@@ -51,7 +51,7 @@ def reference_estimate_weak_value(counts, knowledge, mb_sign):
 @pytest.mark.parametrize("n_trials", [1, 2, 300])
 @pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 3, 2**128 - 1])
 def test_count_matrix_rows_equal_per_trial_draws(master_seed, n_trials):
-    config = experiment.ExperimentConfig(theta=5.5, meter=qcore.from_knowledge(0.1598))
+    config = experiment.ExperimentConfig(theta=5.5, knowledge=0.1598)
     table = experiment.run(config)
     for n_pairs in (1, 100, 100_000):
         plan = stats.TrialPlan(n_pairs=n_pairs, n_trials=n_trials, master_seed=master_seed)
@@ -129,7 +129,7 @@ def test_array_estimators_equal_frozen_scalar_bodies_in_bulk():
 
 
 def test_summary_views_and_equality():
-    config = experiment.ExperimentConfig(theta=1.5 * math.pi, meter=qcore.from_knowledge(0.1598))
+    config = experiment.ExperimentConfig(theta=1.5 * math.pi, knowledge=0.1598)
     plan = stats.TrialPlan(n_pairs=100, n_trials=60, master_seed=4)
     summary = stats.run_trials(plan, config)
     empty = np.isnan(summary.wv)
