@@ -5,11 +5,17 @@ sweeps), fig3 (correlator vs theta per strength plus the zero-strength
 limit curve), gate (PPBS gate figures of merit), mc (seeded Monte Carlo
 trials).
 
-Every file starts with a '#'-commented manifest recording the subcommand
-and all resolved parameters; re-running the same invocation reproduces the
-file byte for byte. Data values are written with 9 significant digits, '.'
-decimal separator, ',' field separator and '\\n' line endings. Exit codes:
-0 success, 2 usage error, 1 runtime error.
+Each flag's text is converted once, when it is parsed, and checked by the
+library's own check; a value outside its domain is a usage error that names
+the flag, raised before anything is computed or written.
+
+Every file starts with a '#'-commented manifest recording the version, the
+subcommand and every flag except --quiet, with its resolved value (sweep's
+ppbs visibility after its default, each fig2 file's own sign, gate and path,
+and the K of gate's b_max column); re-running the same invocation
+reproduces the file byte for byte. Data values are written with 9
+significant digits, '.' decimal separator, ',' field separator and '\\n'
+line endings. Exit codes: 0 success, 2 usage error, 1 runtime error.
 """
 
 from __future__ import annotations
@@ -46,14 +52,23 @@ def _format_real(value: float) -> str:
     return "%.9g" % value
 
 
-def _manifest_lines(subcommand: str, params: dict[str, object]) -> list[str]:
-    lines = [MANIFEST_HEADER, f"# version={__version__}", f"# subcommand={subcommand}"]
+def _manifest(args: argparse.Namespace, **resolved: object) -> list[str]:
+    """The manifest: every parsed flag but --quiet, with ``resolved`` in place.
+
+    A flag whose value is None (sweep's --visibility with the ideal gate) is
+    left out.
+    """
+    params = {key: value for key, value in vars(args).items() if key not in ("command", "handler", "quiet")}
+    params.update(resolved)
+    lines = [MANIFEST_HEADER, f"# version={__version__}", f"# subcommand={args.command}"]
     for key in sorted(params):
         value = params[key]
+        if value is None:
+            continue
         if isinstance(value, float):
             text = repr(value)
-        elif isinstance(value, (list, tuple)):
-            text = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
+        elif isinstance(value, list):  # --k-list's strengths
+            text = ",".join(map(repr, value))
         else:
             text = str(value)
         lines.append(f"# {key}={text}")
@@ -98,28 +113,6 @@ def _emit_csv(
         print(f"wrote {path} ({len(rows)} rows)")
 
 
-def _check_strength(parser: argparse.ArgumentParser, k: float, flag: str = "--k") -> None:
-    if not experiment.MIN_KNOWLEDGE <= k <= 1.0:
-        parser.error(f"{flag} must lie in [{experiment.MIN_KNOWLEDGE:g}, 1], got {k:g}")
-
-
-def _check_steps(parser: argparse.ArgumentParser, steps: int) -> None:
-    if steps < 2:
-        parser.error(f"--theta-steps must be at least 2, got {steps}")
-    if steps > MAX_THETA_STEPS:
-        parser.error(f"--theta-steps must be at most {MAX_THETA_STEPS}, got {steps}")
-
-
-def _resolve_gate(parser: argparse.ArgumentParser, gate: str, visibility: float | None) -> experiment.GateModel:
-    if gate == "ideal":
-        if visibility is not None:
-            parser.error("--visibility requires --gate ppbs")
-        return experiment.IDEAL_GATE
-    if visibility is not None and not 0.0 <= visibility <= 1.0:
-        parser.error(f"--visibility must lie in [0, 1], got {visibility:g}")
-    return experiment.GateModel(kind="ppbs", visibility=visibility)
-
-
 def _sweep_tables(
     k: float,
     mb_signs: tuple[int, ...],
@@ -161,59 +154,71 @@ def _sweep_tables(
     return header, tables
 
 
-def _seed_value(text: str) -> int:
-    # one check for every subcommand: mc seeds numpy with it, the others record it
-    try:
-        seed = int(text)
-        if seed >= 0:
-            return seed
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+def _flag_type(check, parse=float):
+    """An argparse type: parse the flag's text, then apply a library check.
+
+    The check's ValueError becomes a usage error that keeps its message
+    after the flag's name.
+    """
+
+    def flag_type(text: str):
+        try:
+            return check(parse(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return flag_type
 
 
-def _sign_value(flag: str) -> int:
-    return +1 if flag == "+" else -1
+def _bounded(low: float, high: float):
+    def check(value: int) -> int:
+        if not low <= value <= high:
+            raise ValueError(f"must lie in [{low}, {high}], got {value}")
+        return value
+
+    return check
+
+
+def _sign(text: str) -> int:
+    if text not in ("+", "-"):
+        raise ValueError(f"must be + or -, got {text!r}")
+    return +1 if text == "+" else -1
+
+
+def _strengths(text: str) -> list[float]:
+    k_list = [experiment._require_strength(float(item)) for item in text.split(",") if item.strip()]
+    if not k_list:
+        raise ValueError("must name at least one strength")
+    labels = [f"{k:g}" for k in k_list]
+    repeated = [label for label in labels if labels.count(label) > 1]
+    if repeated:
+        raise ValueError(f"strengths share the column label b_k{repeated[0]}; "
+                         "they must differ in 6 significant digits")
+    return k_list
+
+
+def _pairs(n_pairs: int) -> int:
+    from . import stats  # only mc takes --pairs, and mc loads stats anyway
+
+    return stats._require_pairs(n_pairs)
 
 
 def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _check_strength(parser, args.k)
-    _check_steps(parser, args.theta_steps)
-    gate_model = _resolve_gate(parser, args.gate, args.visibility)
-    mb_sign = _sign_value(args.mb_sign)
-    header, (rows,) = _sweep_tables(args.k, (mb_sign,), gate_model, args.theta_steps, args.degrees)
-    params = {
-        "k": args.k,
-        "theta_steps": args.theta_steps,
-        "mb_sign": mb_sign,
-        "gate": gate_model.kind,
-        "degrees": args.degrees,
-        "seed": args.seed,
-        "out": args.out,
-    }
-    if gate_model.kind == "ppbs":
-        params["visibility"] = gate_model.visibility
-    _emit_csv(args.out, _manifest_lines("sweep", params), header, rows, quiet=args.quiet)
+    try:
+        gate_model = experiment.GateModel(kind=args.gate, visibility=args.visibility)
+    except ValueError as exc:  # --visibility with the ideal gate
+        parser.error(f"argument --visibility: {exc}")
+    header, (rows,) = _sweep_tables(args.k, (args.mb_sign,), gate_model, args.theta_steps, args.degrees)
+    _emit_csv(args.out, _manifest(args, visibility=gate_model.visibility), header, rows, quiet=args.quiet)
     return 0
 
 
 def _cmd_fig2(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _check_strength(parser, args.k)
-    _check_steps(parser, args.theta_steps)
     signs = (+1, -1)
     header, tables = _sweep_tables(args.k, signs, experiment.IDEAL_GATE, args.theta_steps, args.degrees)
     for mb_sign, suffix, rows in zip(signs, "ab", tables):
-        path = f"{args.out_prefix}_{suffix}.csv"
-        params = {
-            "k": args.k,
-            "theta_steps": args.theta_steps,
-            "mb_sign": mb_sign,
-            "gate": "ideal",
-            "degrees": args.degrees,
-            "seed": args.seed,
-            "out": path,
-        }
-        _emit_csv(path, _manifest_lines("fig2", params), header, rows, quiet=args.quiet)
+        path = f"{args.out}_{suffix}.csv"
+        _emit_csv(path, _manifest(args, mb_sign=mb_sign, gate="ideal", out=path), header, rows, quiet=args.quiet)
     return 0
 
 
@@ -228,22 +233,7 @@ def _interval_comment(label: str, interval: tuple[float, float] | None) -> str:
 
 
 def _cmd_fig3(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    try:
-        k_list = [float(item) for item in args.k_list.split(",") if item.strip()]
-    except ValueError:
-        parser.error(f"--k-list must be comma-separated reals, got {args.k_list!r}")
-    if not k_list:
-        parser.error("--k-list must name at least one strength")
-    for k in k_list:
-        _check_strength(parser, k, flag="--k-list")
-    labels = [f"{k:g}" for k in k_list]
-    repeated = [label for label in labels if labels.count(label) > 1]
-    if repeated:
-        parser.error(f"--k-list strengths share the column label b_k{repeated[0]}; "
-                     "they must differ in 6 significant digits")
-    _check_steps(parser, args.theta_steps)
-    mb_sign = _sign_value(args.mb_sign)
-
+    k_list, mb_sign = args.k_list, args.mb_sign
     thetas = np.linspace(0.0, _TWO_PI, args.theta_steps)
     header = ["theta_deg" if args.degrees else "theta_rad"]
     columns = [np.degrees(thetas) if args.degrees else thetas]
@@ -263,21 +253,11 @@ def _cmd_fig3(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
     row_format = ",".join(["%.9g"] * len(columns))
     rows = [row_format % row for row in zip(*(col.tolist() for col in columns))]
-    params = {
-        "k_list": [float(k) for k in k_list],
-        "theta_steps": args.theta_steps,
-        "mb_sign": mb_sign,
-        "degrees": args.degrees,
-        "seed": args.seed,
-        "out": args.out,
-    }
-    _emit_csv(args.out, _manifest_lines("fig3", params), header, rows, trailer, quiet=args.quiet)
+    _emit_csv(args.out, _manifest(args), header, rows, trailer, quiet=args.quiet)
     return 0
 
 
 def _cmd_gate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if not 0.0 <= args.visibility <= 1.0:
-        parser.error(f"--visibility must lie in [0, 1], got {args.visibility:g}")
     emap = experiment._gate_map(args.visibility)
     fidelity = optics.process_fidelity_to_cz(emap)
     _, b_star = experiment.b_max(
@@ -285,27 +265,13 @@ def _cmd_gate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     )
     header = ("visibility", "success_probability", "process_fidelity", "b_max")
     rows = ["%.9g,%.9g,%.9g,%.9g" % (args.visibility, emap.success_probability, fidelity, b_star)]
-    params = {
-        "visibility": args.visibility,
-        "k": GATE_REFERENCE_K,
-        "seed": args.seed,
-        "out": args.out,
-    }
-    _emit_csv(args.out, _manifest_lines("gate", params), header, rows, quiet=args.quiet)
+    _emit_csv(args.out, _manifest(args, k=GATE_REFERENCE_K), header, rows, quiet=args.quiet)
     return 0
 
 
 def _cmd_mc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     # imported here so that the commands that do not sample never load it
     from . import stats
-
-    _check_strength(parser, args.k)
-    if not 1 <= args.pairs <= stats.MAX_PAIRS:
-        parser.error(f"--pairs must lie in [1, 2**53], got {args.pairs}")
-    if not 1 <= args.trials <= MAX_TRIALS:
-        parser.error(f"--trials must lie in [1, {MAX_TRIALS}], got {args.trials}")
-    if not math.isfinite(args.theta):
-        parser.error(f"--theta must be finite, got {args.theta!r}")
 
     plan = stats.TrialPlan(n_pairs=args.pairs, n_trials=args.trials, master_seed=args.seed)
     config = experiment.ExperimentConfig(theta=args.theta, knowledge=args.k)
@@ -323,15 +289,7 @@ def _cmd_mc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         f"# summary spread={_format_real(summary.spread)}",
         f"# summary coverage={_format_real(summary.coverage)}",
     ]
-    params = {
-        "k": args.k,
-        "theta": args.theta,
-        "pairs": args.pairs,
-        "trials": args.trials,
-        "seed": args.seed,
-        "out": args.out,
-    }
-    _emit_csv(args.out, _manifest_lines("mc", params), header, rows, trailer, quiet=args.quiet)
+    _emit_csv(args.out, _manifest(args), header, rows, trailer, quiet=args.quiet)
     return 0
 
 
@@ -347,18 +305,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_seed_value, default=0, help="master seed for sampled data")
+    common.add_argument("--seed", type=_flag_type(_bounded(0, math.inf), int), default=0,
+                        help="master seed for sampled data")
     common.add_argument("--quiet", action="store_true", help="suppress progress messages")
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="command")
+    strength = _flag_type(experiment._require_strength)
+    steps = _flag_type(_bounded(2, MAX_THETA_STEPS), int)
+    sign = _flag_type(_sign, str)
+    visibility = _flag_type(optics._require_visibility)
 
     sweep = subparsers.add_parser(
         "sweep", parents=[common], help="exact estimator sweep over the preparation angle"
     )
-    sweep.add_argument("--k", type=float, default=0.5445, help="measurement strength K")
-    sweep.add_argument("--theta-steps", type=int, default=256, help="grid points on [0, 2pi]")
-    sweep.add_argument("--mb-sign", choices=("+", "-"), default="+", help="sign convention for Mb")
+    sweep.add_argument("--k", type=strength, default=0.5445, help="measurement strength K")
+    sweep.add_argument("--theta-steps", type=steps, default=256, help="grid points on [0, 2pi]")
+    sweep.add_argument("--mb-sign", type=sign, metavar="{+,-}", default="+", help="sign convention for Mb")
     sweep.add_argument("--gate", choices=("ideal", "ppbs"), default="ideal", help="gate model")
-    sweep.add_argument("--visibility", type=float, default=None, help="PPBS photon visibility")
+    sweep.add_argument("--visibility", type=visibility, default=None, help="PPBS photon visibility")
     sweep.add_argument("--degrees", action="store_true", help="report angles in degrees")
     sweep.add_argument("--out", required=True, help="output CSV path")
     sweep.set_defaults(handler=_cmd_sweep)
@@ -366,18 +329,21 @@ def build_parser() -> argparse.ArgumentParser:
     fig2 = subparsers.add_parser(
         "fig2", parents=[common], help="paired sweeps for Mb = +S1 and Mb = -S1"
     )
-    fig2.add_argument("--k", type=float, default=0.5445, help="measurement strength K")
-    fig2.add_argument("--theta-steps", type=int, default=256, help="grid points on [0, 2pi]")
+    fig2.add_argument("--k", type=strength, default=0.5445, help="measurement strength K")
+    fig2.add_argument("--theta-steps", type=steps, default=256, help="grid points on [0, 2pi]")
     fig2.add_argument("--degrees", action="store_true", help="report angles in degrees")
-    fig2.add_argument("--out-prefix", required=True, help="writes <prefix>_a.csv and <prefix>_b.csv")
+    # the manifest records each file's own path under out
+    fig2.add_argument("--out-prefix", dest="out", metavar="OUT_PREFIX", required=True,
+                      help="writes <prefix>_a.csv and <prefix>_b.csv")
     fig2.set_defaults(handler=_cmd_fig2)
 
     fig3 = subparsers.add_parser(
         "fig3", parents=[common], help="correlator vs angle per strength, with the K=0 limit curve"
     )
-    fig3.add_argument("--k-list", default="0.5445,0.1598", help="comma-separated strengths")
-    fig3.add_argument("--theta-steps", type=int, default=256, help="grid points on [0, 2pi]")
-    fig3.add_argument("--mb-sign", choices=("+", "-"), default="+", help="sign convention for Mb")
+    fig3.add_argument("--k-list", type=_flag_type(_strengths, str), default="0.5445,0.1598",
+                      help="comma-separated strengths")
+    fig3.add_argument("--theta-steps", type=steps, default=256, help="grid points on [0, 2pi]")
+    fig3.add_argument("--mb-sign", type=sign, metavar="{+,-}", default="+", help="sign convention for Mb")
     fig3.add_argument("--degrees", action="store_true", help="report angles in degrees")
     fig3.add_argument("--out", required=True, help="output CSV path")
     fig3.set_defaults(handler=_cmd_fig3)
@@ -385,17 +351,18 @@ def build_parser() -> argparse.ArgumentParser:
     gate = subparsers.add_parser(
         "gate", parents=[common], help="PPBS gate figures of merit at a given visibility"
     )
-    gate.add_argument("--visibility", type=float, default=1.0, help="photon visibility in [0, 1]")
+    gate.add_argument("--visibility", type=visibility, default=1.0, help="photon visibility in [0, 1]")
     gate.add_argument("--out", required=True, help="output CSV path")
     gate.set_defaults(handler=_cmd_gate)
 
     mc = subparsers.add_parser(
         "mc", parents=[common], help="seeded Monte Carlo trials with propagated errors"
     )
-    mc.add_argument("--k", type=float, default=0.5445, help="measurement strength K")
-    mc.add_argument("--theta", type=float, required=True, help="preparation angle in radians")
-    mc.add_argument("--pairs", type=int, default=100_000, help="photon pairs per trial")
-    mc.add_argument("--trials", type=int, default=300, help="number of trials")
+    mc.add_argument("--k", type=strength, default=0.5445, help="measurement strength K")
+    mc.add_argument("--theta", type=_flag_type(experiment._require_angle), required=True,
+                    help="preparation angle in radians")
+    mc.add_argument("--pairs", type=_flag_type(_pairs, int), default=100_000, help="photon pairs per trial")
+    mc.add_argument("--trials", type=_flag_type(_bounded(1, MAX_TRIALS), int), default=300, help="number of trials")
     mc.add_argument("--out", required=True, help="output CSV path")
     mc.set_defaults(handler=_cmd_mc)
 

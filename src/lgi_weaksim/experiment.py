@@ -73,9 +73,7 @@ class GateModel:
             if self.visibility is not None:
                 raise ValueError("visibility applies only to the ppbs gate model")
         else:
-            vis = 1.0 if self.visibility is None else float(self.visibility)
-            if not 0.0 <= vis <= 1.0:
-                raise ValueError(f"visibility must lie in [0, 1], got {vis!r}")
+            vis = 1.0 if self.visibility is None else optics._require_visibility(self.visibility)
             object.__setattr__(self, "visibility", vis)
 
 
@@ -86,8 +84,9 @@ IDEAL_GATE = GateModel()
 class ExperimentConfig:
     """One protocol setting: preparation angle, measurement strength K, conventions.
 
-    Raises ZeroStrengthError for K below 1e-9 and ValueError for any other K
-    outside [1e-9, 1] (NaN and non-reals included).
+    Raises ZeroStrengthError for K below 1e-9, ValueError for any other K
+    outside [1e-9, 1] (NaN and non-reals included) and for a theta that is
+    not a finite real.
     """
 
     theta: float
@@ -96,8 +95,7 @@ class ExperimentConfig:
     gate_model: GateModel = IDEAL_GATE
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta!r}")
+        object.__setattr__(self, "theta", _require_angle(self.theta))
         object.__setattr__(self, "knowledge", _require_strength(self.knowledge))
         _require_sign(self.mb_sign)
 
@@ -137,6 +135,16 @@ def _require_count(value: int, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _require_angle(theta: float, name: str = "theta") -> float:
+    """theta as a float; ValueError for NaN, infinities and non-reals."""
+    if isinstance(theta, numbers.Real) and -math.inf < theta < math.inf:
+        try:
+            return float(theta)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ValueError(f"{name} must be a finite real angle in radians, got {theta!r}")
+
+
 @dataclass(frozen=True)
 class ThetaGrid:
     """Uniform inclusive angle grid."""
@@ -146,8 +154,8 @@ class ThetaGrid:
     steps: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValueError("grid endpoints must be finite")
+        object.__setattr__(self, "start", _require_angle(self.start, "grid start"))
+        object.__setattr__(self, "stop", _require_angle(self.stop, "grid stop"))
         object.__setattr__(self, "steps", _require_count(self.steps, "grid steps"))
         if self.steps < 2:
             raise ValueError(f"grid needs at least 2 steps, got {self.steps!r}")

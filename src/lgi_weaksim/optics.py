@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,12 +68,12 @@ class EffectiveMap:
         if not 0.0 < self.success_probability <= 1.0:
             raise ValueError("success probability must lie in (0, 1]")
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Apply the (unnormalized) map to a 4x4 density matrix."""
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (4, 4):
-            raise ValueError("EffectiveMap.apply expects a 4x4 matrix")
-        return (self.superoperator @ rho.reshape(16)).reshape(4, 4)
+
+def _require_visibility(visibility: float) -> float:
+    """visibility as a float; ValueError unless it is a real number in [0, 1] (NaN fails)."""
+    if not (isinstance(visibility, numbers.Real) and 0.0 <= visibility <= 1.0):
+        raise ValueError(f"visibility must be a real number in [0, 1], got {visibility!r}")
+    return float(visibility)
 
 
 def _embed_beamsplitter(u: np.ndarray, mode_a: int, mode_b: int, transmission: float) -> None:
@@ -154,10 +155,10 @@ def effective_map(visibility: float) -> EffectiveMap:
 
     with M the coincidence permanent block and Md, Mx the labeled-path
     operators, M = Md + Mx. Consumers renormalize the output by its trace
-    (the per-input success probability).
+    (the per-input success probability). Raises ValueError unless
+    visibility is a real number in [0, 1].
     """
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {visibility!r}")
+    visibility = _require_visibility(visibility)
     coherent, labeled = _channel_terms()
     sup = visibility * coherent + (1.0 - visibility) * labeled
     mixed_success = float(np.real(np.trace((sup @ _MAXIMALLY_MIXED).reshape(4, 4))))

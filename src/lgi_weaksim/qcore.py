@@ -18,6 +18,8 @@ from enum import Enum
 
 import numpy as np
 
+from . import experiment
+
 # Tolerance for exact-math identities (normalization, hermiticity, trace).
 TOL_EXACT = 1e-12
 
@@ -149,8 +151,7 @@ def ket_signal(theta: float) -> PureState:
     theta : float
         Preparation angle in radians; any finite real value.
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
+    theta = experiment._require_angle(theta)
     return PureState(np.array([math.cos(theta / 2.0), math.sin(theta / 2.0)]))
 
 

@@ -66,6 +66,14 @@ class EstimateWithError:
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
 
 
+def _require_pairs(n_pairs: int) -> int:
+    """n_pairs as an int; ValueError unless it is an integer in [1, 2**53]."""
+    n_pairs = experiment._require_count(n_pairs, "n_pairs")
+    if not 1 <= n_pairs <= MAX_PAIRS:
+        raise ValueError(f"n_pairs must lie in [1, 2**53], got {n_pairs!r}")
+    return n_pairs
+
+
 @dataclass(frozen=True)
 class TrialPlan:
     """Monte Carlo schedule: pairs per trial, trial count, master seed.
@@ -79,10 +87,9 @@ class TrialPlan:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n_pairs", "n_trials", "master_seed"):
+        object.__setattr__(self, "n_pairs", _require_pairs(self.n_pairs))
+        for name in ("n_trials", "master_seed"):
             object.__setattr__(self, name, experiment._require_count(getattr(self, name), name))
-        if not 1 <= self.n_pairs <= MAX_PAIRS:
-            raise ValueError(f"n_pairs must lie in [1, 2**53], got {self.n_pairs!r}")
         if not 1 <= self.n_trials <= MAX_TRIALS:
             raise ValueError(f"n_trials must lie in [1, 2**32], got {self.n_trials!r}")
         if self.master_seed < 0:
@@ -121,9 +128,11 @@ def sample_counts(
     n_pairs: int,
     rng: np.random.Generator | int | None = None,
 ) -> CountTable:
-    """Draw one multinomial count table of n_pairs events."""
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be positive, got {n_pairs!r}")
+    """Draw one multinomial count table of n_pairs events.
+
+    Raises ValueError unless n_pairs is an integer in [1, 2**53].
+    """
+    n_pairs = _require_pairs(n_pairs)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     draw = rng.multinomial(n_pairs, table.as_array())

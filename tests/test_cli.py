@@ -142,6 +142,9 @@ def test_quiet_flag_controls_progress_line(tmp_path, capsys):
         ("mc", "--theta", "0.5", "--k", "1e-10", "--out", "x.csv"),
         ("mc", "--theta", "inf", "--out", "x.csv"),
         ("mc", "--theta", "nan", "--out", "x.csv"),
+        # a sign other than + or -
+        ("sweep", "--mb-sign", "x", "--out", "x.csv"),
+        ("fig3", "--mb-sign", "+1", "--out", "x.csv"),
     ],
 )
 def test_usage_errors_exit_two_without_output(argv, tmp_path, capsys, monkeypatch):
@@ -423,6 +426,11 @@ SWEEP_FIG3_GOLDEN = [
     (("fig3", "--degrees"), "804088509bd7c341f1f8884e3b3b5d17ba6101d0c05bc58c0551cad0ecf0b206"),
     (("fig3", "--k-list", "1e-09,1", "--theta-steps", "64", "--mb-sign=-"),
      "8dafed54a40696815836c906cf8a64ed98307ea6ba090802353ce396431cdc3f"),
+    # the manifest records the visibility the ppbs gate resolves to: 1.0
+    (("sweep", "--gate", "ppbs"), "a39a39d3b6f813fde828b2f9cb297f71c88f0ff009b285193df8899dc93b06c7"),
+    # spaces and empty items in the list are skipped; the bytes equal the default's
+    (("fig3", "--k-list", " 0.5445, 0.1598,"),
+     "655072268bd0204a8580329d5611df9f75961103d86c7e074ae41541a318ac1a"),
 ]
 
 
@@ -431,6 +439,35 @@ def test_sweep_and_fig3_bytes_match_golden_digests(argv, digest, tmp_path):
     out = tmp_path / "out.csv"
     assert run_cli(*argv, "--out", out, "--quiet") == 0
     assert body_digest(out) == digest
+
+
+def test_fig2_manifests_record_each_file(tmp_path):
+    prefix = tmp_path / "fig2"
+    assert run_cli("fig2", "--theta-steps", 4, "--out-prefix", prefix, "--quiet") == 0
+    for suffix, sign in (("a", "1"), ("b", "-1")):
+        manifest = read_csv(tmp_path / f"fig2_{suffix}.csv")[0]
+        assert manifest[3:] == ["# degrees=False", "# gate=ideal", "# k=0.5445", f"# mb_sign={sign}",
+                                f"# out={prefix}_{suffix}.csv", "# seed=0", "# theta_steps=4"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("sweep", "--k", "2"), "--k"),
+    (("fig3", "--k-list", "0.5,2"), "--k-list"),
+    (("gate", "--visibility", "-1"), "--visibility"),
+    (("mc", "--theta", "inf"), "--theta"),
+    (("mc", "--theta", "1", "--pairs", "0"), "--pairs"),
+    (("mc", "--theta", "1", "--trials", "0"), "--trials"),
+    (("fig2", "--theta-steps", "1"), "--theta-steps"),
+    (("sweep", "--mb-sign", "x"), "--mb-sign"),
+    (("sweep", "--visibility", "0.5"), "--visibility"),
+])
+def test_usage_error_names_its_flag(argv, flag, tmp_path, capsys):
+    out_flag = "--out-prefix" if argv[0] == "fig2" else "--out"
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(*argv, out_flag, tmp_path / "x")
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_fig2_bytes_match_golden_digests(tmp_path):

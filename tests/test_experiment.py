@@ -51,7 +51,8 @@ def reference_probabilities(theta, meter, gate_model):
         state = qcore.apply_cz(joint)
     else:
         emap = experiment._gate_map(gate_model.visibility)
-        rho_out = emap.apply(np.outer(joint.amplitudes, joint.amplitudes.conj()))
+        rho = np.outer(joint.amplitudes, joint.amplitudes.conj())
+        rho_out = (emap.superoperator @ rho.reshape(16)).reshape(4, 4)
         success = float(np.real(np.trace(rho_out)))
         rho_out = rho_out / success
         state = qcore.DensityOperator(0.5 * (rho_out + rho_out.conj().T))
@@ -298,6 +299,31 @@ def test_experiment_config_validation():
         experiment.ExperimentConfig(theta=math.nan, knowledge=K_STRONG)
     with pytest.raises(ValueError):
         experiment.ExperimentConfig(theta=0.1, knowledge=K_STRONG, mb_sign=2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda value: config_for(value, K_STRONG),
+    lambda value: experiment.ThetaGrid(value, 1.0, 3),
+    lambda value: experiment.ThetaGrid(0.0, value, 3),
+], ids=["ExperimentConfig", "ThetaGrid_start", "ThetaGrid_stop"])
+@pytest.mark.parametrize("value", ["1", None, 1.0 + 0j, math.nan, -math.inf, 10**400],
+                         ids=["str", "none", "complex", "nan", "inf", "huge_int"])
+def test_an_angle_that_is_not_a_finite_real_is_a_value_error(build, value):
+    # a TypeError or OverflowError from math.isfinite would leak otherwise
+    with pytest.raises(ValueError, match="finite real angle"):
+        build(value)
+
+
+def test_angles_are_held_as_floats():
+    assert type(config_for(np.float32(0.5), K_STRONG).theta) is float
+    grid = experiment.ThetaGrid(0, np.int64(1), 3)
+    assert (type(grid.start), type(grid.stop)) == (float, float)
+
+
+@pytest.mark.parametrize("visibility", ["0.5", 1.0 + 0j, math.nan, -0.1])
+def test_gate_model_rejects_a_visibility_that_is_not_a_real_in_the_unit_interval(visibility):
+    with pytest.raises(ValueError, match=r"visibility must be a real number in \[0, 1\]"):
+        experiment.GateModel(kind="ppbs", visibility=visibility)
 
 
 @pytest.mark.parametrize("knowledge", [1.0 + 0j, "0.5", None, qcore.from_knowledge(K_STRONG)],

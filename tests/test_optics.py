@@ -110,7 +110,7 @@ def test_map_is_trace_nonincreasing_and_renormalizable():
         emap = optics.effective_map(xi)
         for _ in range(20):
             rho = random_density(rng)
-            out = emap.apply(rho)
+            out = (emap.superoperator @ rho.reshape(16)).reshape(4, 4)
             trace = np.trace(out).real
             assert 0.0 < trace <= 1.0 + 1e-12
             renormalized = out / trace
@@ -126,25 +126,25 @@ def test_full_visibility_map_conjugates_like_cz_on_pauli_basis():
               np.diag([1.0, -1.0])]
     for left in paulis:
         for right in paulis:
-            operator = np.kron(left, right)
-            out = emap.apply(operator) * 9.0
+            operator = np.kron(left, right).astype(complex)
+            out = (emap.superoperator @ operator.reshape(16)).reshape(4, 4) * 9.0
             np.testing.assert_allclose(out, cz @ operator @ cz, atol=1e-12)
 
 
 def test_zero_visibility_map_preserves_vv_without_phase():
     emap0 = optics.effective_map(0.0)
-    vv = np.zeros((4, 4))
+    vv = np.zeros((4, 4), dtype=complex)
     vv[3, 3] = 1.0
-    out = emap0.apply(vv)
+    out = (emap0.superoperator @ vv.reshape(16)).reshape(4, 4)
     out = out / np.trace(out).real
     np.testing.assert_allclose(out, vv, atol=1e-12)
 
     # distinguishable photons never see the -1: the VV/HH coherence keeps the
     # input's sign, while the interfering map flips it
     d = qcore.PureState(qcore.BasisOutcome.D.ket())
-    rho_dd = np.outer(*(qcore.tensor(d, d).amplitudes,) * 2).real
-    assert optics.effective_map(0.0).apply(rho_dd)[3, 0].real > 0.0
-    assert optics.effective_map(1.0).apply(rho_dd)[3, 0].real < 0.0
+    rho_dd = np.outer(*(qcore.tensor(d, d).amplitudes,) * 2).real.astype(complex)
+    assert (optics.effective_map(0.0).superoperator @ rho_dd.reshape(16)).reshape(4, 4)[3, 0].real > 0.0
+    assert (optics.effective_map(1.0).superoperator @ rho_dd.reshape(16)).reshape(4, 4)[3, 0].real < 0.0
 
 
 @given(visibilities)
@@ -161,9 +161,16 @@ def test_superoperator_is_convex_in_visibility(xi):
 def test_map_agrees_with_dense_conjugation_oracle(theta, knowledge, xi):
     state = joint_state(theta, knowledge)
     rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    out = optics.effective_map(xi).apply(rho)
+    out = (optics.effective_map(xi).superoperator @ rho.reshape(16)).reshape(4, 4)
     expected = oracles.ppbs_unnormalized_output(rho.real, xi)
     np.testing.assert_allclose(out, expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("visibility", ["0.5", None, 1.0 + 0j, math.nan, 1.5])
+def test_effective_map_rejects_a_visibility_that_is_not_a_real_in_the_unit_interval(visibility):
+    # the same check as GateModel's; a string used to leak a TypeError
+    with pytest.raises(ValueError, match=r"visibility must be a real number in \[0, 1\]"):
+        optics.effective_map(visibility)
 
 
 def test_process_fidelity_endpoints_and_monotonicity():

@@ -181,7 +181,7 @@ def reference_choi_matrix(emap):
         for j in range(4):
             basis_ij = np.zeros((4, 4), dtype=complex)
             basis_ij[i, j] = 1.0
-            choi += np.kron(emap.apply(basis_ij), basis_ij)
+            choi += np.kron((emap.superoperator @ basis_ij.reshape(16)).reshape(4, 4), basis_ij)
     return choi
 
 

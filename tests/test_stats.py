@@ -131,6 +131,16 @@ def test_sample_counts_accepts_generator_and_rejects_zero_pairs():
         stats.sample_counts(table, 0)
 
 
+@pytest.mark.parametrize("n_pairs", [2.5, 3.0, stats.MAX_PAIRS + 1])
+def test_sample_counts_takes_the_trial_plans_pairs_domain(n_pairs):
+    # numpy's multinomial would truncate 2.5 and draw 2 pairs
+    table = experiment.ProbabilityTable(0.25, 0.25, 0.25, 0.25)
+    with pytest.raises(ValueError, match="n_pairs"):
+        stats.sample_counts(table, n_pairs, rng=0)
+    with pytest.raises(ValueError, match="n_pairs"):
+        stats.TrialPlan(n_pairs=n_pairs, n_trials=1)
+
+
 def test_sample_counts_uniform_cells_within_five_sigma():
     table = experiment.ProbabilityTable(0.25, 0.25, 0.25, 0.25)
     n_pairs = 4_000_000
