@@ -14,6 +14,9 @@ The package layers are:
 - :mod:`lgi_weaksim.stats` - multinomial count sampling, propagated errors
   and Monte Carlo trial ensembles.
 - :mod:`lgi_weaksim.cli` - CSV-emitting command-line harness.
+- :mod:`lgi_weaksim.errors` - the domain error types, all ``ValueError``
+  subclasses, and the two checks every entry point applies to its numeric
+  parameters: a finite real number in a range, an integer in a range.
 
 The package itself exports only ``__version__``; import names from the
 modules, e.g. ``from lgi_weaksim.experiment import b_max``. Importing the

@@ -29,6 +29,7 @@ import sys
 import numpy as np
 
 from . import __version__, experiment, optics
+from .errors import _require_count, _require_real
 
 MANIFEST_HEADER = "# lgi-weaksim manifest v1"
 
@@ -154,29 +155,20 @@ def _sweep_tables(
     return header, tables
 
 
-def _flag_type(check, parse=float):
+def _flag_type(parse, check, *domain):
     """An argparse type: parse the flag's text, then apply a library check.
 
-    The check's ValueError becomes a usage error that keeps its message
-    after the flag's name.
+    ``check(value, *domain)`` is called on the parsed value; its ValueError
+    becomes a usage error that keeps its message after the flag's name.
     """
 
     def flag_type(text: str):
         try:
-            return check(parse(text))
+            return check(parse(text), *domain)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
     return flag_type
-
-
-def _bounded(low: float, high: float):
-    def check(value: int) -> int:
-        if not low <= value <= high:
-            raise ValueError(f"must lie in [{low}, {high}], got {value}")
-        return value
-
-    return check
 
 
 def _sign(text: str) -> int:
@@ -206,14 +198,14 @@ def _pairs(n_pairs: int) -> int:
 def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     try:
         gate_model = experiment.GateModel(kind=args.gate, visibility=args.visibility)
-    except ValueError as exc:  # --visibility with the ideal gate
+    except ValueError as exc:  # --visibility with the ideal gate; parser is sweep's own
         parser.error(f"argument --visibility: {exc}")
     header, (rows,) = _sweep_tables(args.k, (args.mb_sign,), gate_model, args.theta_steps, args.degrees)
     _emit_csv(args.out, _manifest(args, visibility=gate_model.visibility), header, rows, quiet=args.quiet)
     return 0
 
 
-def _cmd_fig2(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_fig2(args: argparse.Namespace) -> int:
     signs = (+1, -1)
     header, tables = _sweep_tables(args.k, signs, experiment.IDEAL_GATE, args.theta_steps, args.degrees)
     for mb_sign, suffix, rows in zip(signs, "ab", tables):
@@ -232,7 +224,7 @@ def _interval_comment(label: str, interval: tuple[float, float] | None) -> str:
     )
 
 
-def _cmd_fig3(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_fig3(args: argparse.Namespace) -> int:
     k_list, mb_sign = args.k_list, args.mb_sign
     thetas = np.linspace(0.0, _TWO_PI, args.theta_steps)
     header = ["theta_deg" if args.degrees else "theta_rad"]
@@ -257,7 +249,7 @@ def _cmd_fig3(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_gate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_gate(args: argparse.Namespace) -> int:
     emap = experiment._gate_map(args.visibility)
     fidelity = optics.process_fidelity_to_cz(emap)
     _, b_star = experiment.b_max(
@@ -269,7 +261,7 @@ def _cmd_gate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_mc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_mc(args: argparse.Namespace) -> int:
     # imported here so that the commands that do not sample never load it
     from . import stats
 
@@ -305,14 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_flag_type(_bounded(0, math.inf), int), default=0,
+    common.add_argument("--seed", type=_flag_type(int, _require_count, "seed"), default=0,
                         help="master seed for sampled data")
     common.add_argument("--quiet", action="store_true", help="suppress progress messages")
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="command")
-    strength = _flag_type(experiment._require_strength)
-    steps = _flag_type(_bounded(2, MAX_THETA_STEPS), int)
-    sign = _flag_type(_sign, str)
-    visibility = _flag_type(optics._require_visibility)
+    strength = _flag_type(float, experiment._require_strength)
+    steps = _flag_type(int, _require_count, "theta steps", 2, MAX_THETA_STEPS)
+    sign = _flag_type(str, _sign)
+    visibility = _flag_type(float, _require_real, "visibility", 0, 1)
 
     sweep = subparsers.add_parser(
         "sweep", parents=[common], help="exact estimator sweep over the preparation angle"
@@ -324,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--visibility", type=visibility, default=None, help="PPBS photon visibility")
     sweep.add_argument("--degrees", action="store_true", help="report angles in degrees")
     sweep.add_argument("--out", required=True, help="output CSV path")
-    sweep.set_defaults(handler=_cmd_sweep)
+    sweep.set_defaults(handler=functools.partial(_cmd_sweep, parser=sweep))
 
     fig2 = subparsers.add_parser(
         "fig2", parents=[common], help="paired sweeps for Mb = +S1 and Mb = -S1"
@@ -340,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig3 = subparsers.add_parser(
         "fig3", parents=[common], help="correlator vs angle per strength, with the K=0 limit curve"
     )
-    fig3.add_argument("--k-list", type=_flag_type(_strengths, str), default="0.5445,0.1598",
+    fig3.add_argument("--k-list", type=_flag_type(str, _strengths), default="0.5445,0.1598",
                       help="comma-separated strengths")
     fig3.add_argument("--theta-steps", type=steps, default=256, help="grid points on [0, 2pi]")
     fig3.add_argument("--mb-sign", type=sign, metavar="{+,-}", default="+", help="sign convention for Mb")
@@ -359,10 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
         "mc", parents=[common], help="seeded Monte Carlo trials with propagated errors"
     )
     mc.add_argument("--k", type=strength, default=0.5445, help="measurement strength K")
-    mc.add_argument("--theta", type=_flag_type(experiment._require_angle), required=True,
+    mc.add_argument("--theta", type=_flag_type(float, _require_real, "theta"), required=True,
                     help="preparation angle in radians")
-    mc.add_argument("--pairs", type=_flag_type(_pairs, int), default=100_000, help="photon pairs per trial")
-    mc.add_argument("--trials", type=_flag_type(_bounded(1, MAX_TRIALS), int), default=300, help="number of trials")
+    mc.add_argument("--pairs", type=_flag_type(int, _pairs), default=100_000, help="photon pairs per trial")
+    mc.add_argument("--trials", type=_flag_type(int, _require_count, "trials", 1, MAX_TRIALS), default=300,
+                    help="number of trials")
     mc.add_argument("--out", required=True, help="output CSV path")
     mc.set_defaults(handler=_cmd_mc)
 
@@ -373,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args, parser)
+        return args.handler(args)
     except SystemExit:
         raise
     except Exception as exc:  # runtime failures exit 1, never into the CSV

@@ -29,8 +29,6 @@ so wherever p_D > 0, B > 1 exactly when mb_sign * wv > 1.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -38,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import optics
-from .errors import DegenerateConditioningError, ZeroStrengthError
+from .errors import DegenerateConditioningError, ZeroStrengthError, _real_or_nan, _require_count, _require_real
 
 # Estimators divide by K; below this guard the calibration is undefined.
 MIN_KNOWLEDGE = 1e-9
@@ -73,7 +71,7 @@ class GateModel:
             if self.visibility is not None:
                 raise ValueError("visibility applies only to the ppbs gate model")
         else:
-            vis = 1.0 if self.visibility is None else optics._require_visibility(self.visibility)
+            vis = 1.0 if self.visibility is None else _require_real(self.visibility, "visibility", 0, 1)
             object.__setattr__(self, "visibility", vis)
 
 
@@ -85,8 +83,8 @@ class ExperimentConfig:
     """One protocol setting: preparation angle, measurement strength K, conventions.
 
     Raises ZeroStrengthError for K below 1e-9, ValueError for any other K
-    outside [1e-9, 1] (NaN and non-reals included) and for a theta that is
-    not a finite real.
+    outside [1e-9, 1] (NaN and non-reals included), for a theta that is
+    not a finite real and for a gate_model that is not a GateModel.
     """
 
     theta: float
@@ -95,14 +93,19 @@ class ExperimentConfig:
     gate_model: GateModel = IDEAL_GATE
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", _require_angle(self.theta))
+        object.__setattr__(self, "theta", _require_real(self.theta, "theta"))
         object.__setattr__(self, "knowledge", _require_strength(self.knowledge))
         _require_sign(self.mb_sign)
+        if not isinstance(self.gate_model, GateModel):
+            raise ValueError(f"gate_model must be a GateModel, got {self.gate_model!r}")
 
 
 @dataclass(frozen=True)
 class ProbabilityTable:
-    """Joint outcome probabilities; first index meter D/A, second signal D/A."""
+    """Joint outcome probabilities; first index meter D/A, second signal D/A.
+
+    Raises ValueError unless each lies in [0, 1] and they sum to 1, within 1e-12.
+    """
 
     p_dd: float
     p_da: float
@@ -110,13 +113,11 @@ class ProbabilityTable:
     p_aa: float
 
     def __post_init__(self) -> None:
-        values = self.as_array()
-        if not np.isfinite(values).all():
-            raise ValueError(f"probabilities must be finite, got {values!r}")
-        if np.any(values < -1e-12) or np.any(values > 1.0 + 1e-12):
-            raise ValueError(f"probabilities must lie in [0, 1], got {values!r}")
-        if abs(float(values.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities must sum to 1, got {values.sum()!r}")
+        for name in ("p_dd", "p_da", "p_ad", "p_aa"):
+            object.__setattr__(self, name, _require_real(getattr(self, name), name, -1e-12, 1.0 + 1e-12))
+        total = self.as_array().sum()
+        if abs(float(total) - 1.0) > 1e-12:
+            raise ValueError(f"probabilities must sum to 1, got {total!r}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p_dd, self.p_da, self.p_ad, self.p_aa])
@@ -127,38 +128,18 @@ class ProbabilityTable:
         return self.p_dd + self.p_ad
 
 
-def _require_count(value: int, name: str) -> int:
-    """value as an int; numpy integers pass, 2.5 and 3.0 raise ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _require_angle(theta: float, name: str = "theta") -> float:
-    """theta as a float; ValueError for NaN, infinities and non-reals."""
-    if isinstance(theta, numbers.Real) and -math.inf < theta < math.inf:
-        try:
-            return float(theta)
-        except OverflowError:  # an int beyond the float range
-            pass
-    raise ValueError(f"{name} must be a finite real angle in radians, got {theta!r}")
-
-
 @dataclass(frozen=True)
 class ThetaGrid:
-    """Uniform inclusive angle grid."""
+    """Uniform inclusive angle grid; ValueError unless the ends are finite reals and steps an integer >= 2."""
 
     start: float
     stop: float
     steps: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "start", _require_angle(self.start, "grid start"))
-        object.__setattr__(self, "stop", _require_angle(self.stop, "grid stop"))
-        object.__setattr__(self, "steps", _require_count(self.steps, "grid steps"))
-        if self.steps < 2:
-            raise ValueError(f"grid needs at least 2 steps, got {self.steps!r}")
+        object.__setattr__(self, "start", _require_real(self.start, "grid start"))
+        object.__setattr__(self, "stop", _require_real(self.stop, "grid stop"))
+        object.__setattr__(self, "steps", _require_count(self.steps, "grid steps", 2))
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -169,16 +150,12 @@ FULL_TURN = ThetaGrid(0.0, _TWO_PI, 256)
 
 def _require_strength(knowledge: float) -> float:
     """K as a float; ZeroStrengthError below 1e-9, ValueError for anything else outside [1e-9, 1]."""
-    if not isinstance(knowledge, numbers.Real):
-        raise ValueError(f"measurement strength K must be a real number in [{MIN_KNOWLEDGE}, 1], got {knowledge!r}")
-    if knowledge < MIN_KNOWLEDGE:
+    if _real_or_nan(knowledge) < MIN_KNOWLEDGE:    # -inf too; NaN and non-reals are not below
         raise ZeroStrengthError(
             f"measurement strength K={knowledge!r} is below {MIN_KNOWLEDGE}; "
             "the 1/K calibration is undefined"
         )
-    if not knowledge <= 1.0:    # also NaN
-        raise ValueError(f"measurement strength K must lie in [{MIN_KNOWLEDGE}, 1], got {knowledge!r}")
-    return float(knowledge)
+    return _require_real(knowledge, "measurement strength K", MIN_KNOWLEDGE, 1)
 
 
 def _require_sign(mb_sign: int) -> None:

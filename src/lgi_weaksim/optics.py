@@ -16,13 +16,11 @@ Mode ordering: 0=signal H, 1=signal V, 2=meter H, 3=meter V,
 from __future__ import annotations
 
 import functools
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnreachableTargetError
+from .errors import UnreachableTargetError, _require_real
 
 N_MODES = 6
 SIGNAL_H, SIGNAL_V, METER_H, METER_V, LOSS_SIGNAL, LOSS_METER = range(N_MODES)
@@ -67,13 +65,6 @@ class EffectiveMap:
         object.__setattr__(self, "superoperator", sup)
         if not 0.0 < self.success_probability <= 1.0:
             raise ValueError("success probability must lie in (0, 1]")
-
-
-def _require_visibility(visibility: float) -> float:
-    """visibility as a float; ValueError unless it is a real number in [0, 1] (NaN fails)."""
-    if not (isinstance(visibility, numbers.Real) and 0.0 <= visibility <= 1.0):
-        raise ValueError(f"visibility must be a real number in [0, 1], got {visibility!r}")
-    return float(visibility)
 
 
 def _embed_beamsplitter(u: np.ndarray, mode_a: int, mode_b: int, transmission: float) -> None:
@@ -158,7 +149,7 @@ def effective_map(visibility: float) -> EffectiveMap:
     (the per-input success probability). Raises ValueError unless
     visibility is a real number in [0, 1].
     """
-    visibility = _require_visibility(visibility)
+    visibility = _require_real(visibility, "visibility", 0, 1)
     coherent, labeled = _channel_terms()
     sup = visibility * coherent + (1.0 - visibility) * labeled
     mixed_success = float(np.real(np.trace((sup @ _MAXIMALLY_MIXED).reshape(4, 4))))
@@ -191,13 +182,13 @@ def fit_visibility(target_bmax: float, knowledge: float, tol: float = 1e-6) -> f
     :class:`UnreachableTargetError` when the target lies outside the closed
     range [b_max(visibility=0), b_max(visibility=1)] for this K, widened by
     tol plus the peak's round-off 16 eps/K; a target that close to an end of
-    the range returns that end. Raises ValueError unless tol is finite and
-    nonnegative.
+    the range returns that end. Raises ValueError unless target_bmax is a
+    finite real and tol a finite nonnegative real.
     """
     from . import experiment  # local import; experiment depends on this module
 
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    target_bmax = _require_real(target_bmax, "target_bmax")
+    tol = _require_real(tol, "tol", 0)
 
     gates = [experiment.GateModel(kind="ppbs", visibility=xi) for xi in (0.0, 1.0)]
     b_lo, b_hi = (experiment.b_max(knowledge, gate)[1] for gate in gates)

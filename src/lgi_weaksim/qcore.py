@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import experiment
+from .errors import _require_real
 
 # Tolerance for exact-math identities (normalization, hermiticity, trace).
 TOL_EXACT = 1e-12
@@ -129,8 +129,7 @@ class MeterSetting:
     knowledge: float   # K in [0, 1]
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.knowledge <= 1.0:    # also NaN
-            raise ValueError(f"knowledge must lie in [0, 1], got {self.knowledge!r}")
+        object.__setattr__(self, "knowledge", _require_real(self.knowledge, "knowledge", 0, 1))
 
     @property
     def gamma(self) -> float:
@@ -151,7 +150,7 @@ def ket_signal(theta: float) -> PureState:
     theta : float
         Preparation angle in radians; any finite real value.
     """
-    theta = experiment._require_angle(theta)
+    theta = _require_real(theta, "theta")
     return PureState(np.array([math.cos(theta / 2.0), math.sin(theta / 2.0)]))
 
 

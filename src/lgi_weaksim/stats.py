@@ -9,13 +9,12 @@ treating each count as Poisson with variance equal to the observed count
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import experiment
-from .errors import InsufficientPostselectionError, UndefinedSignificanceError
+from .errors import InsufficientPostselectionError, UndefinedSignificanceError, _require_count, _require_real
 
 # Nominal 95% two-sided interval half-width in units of sigma.
 COVERAGE_Z = 1.96
@@ -28,7 +27,10 @@ MAX_TRIALS = 2**32
 
 @dataclass(frozen=True)
 class CountTable:
-    """Observed coincidence counts in the (meter, signal) D/A outcome order."""
+    """Observed coincidence counts in the (meter, signal) D/A outcome order.
+
+    ValueError unless each is a nonnegative integer and the total lies in [1, 2**53].
+    """
 
     n_dd: int
     n_da: int
@@ -37,12 +39,8 @@ class CountTable:
 
     def __post_init__(self) -> None:
         for name in ("n_dd", "n_da", "n_ad", "n_aa"):
-            object.__setattr__(self, name, experiment._require_count(getattr(self, name), name))
-        counts = (self.n_dd, self.n_da, self.n_ad, self.n_aa)
-        if any(c < 0 for c in counts):
-            raise ValueError(f"counts must be nonnegative, got {counts!r}")
-        if sum(counts) == 0:
-            raise ValueError("count table must contain at least one event")
+            object.__setattr__(self, name, _require_count(getattr(self, name), name))
+        _require_count(self.total, "total count", 1, MAX_PAIRS)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.n_dd, self.n_da, self.n_ad, self.n_aa], dtype=float)
@@ -54,24 +52,19 @@ class CountTable:
 
 @dataclass(frozen=True)
 class EstimateWithError:
-    """Point estimate with a one-sigma propagated standard error."""
+    """Point estimate with a one-sigma propagated standard error; ValueError unless finite with sigma >= 0."""
 
     value: float
     sigma: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError(f"estimate must be finite, got {self.value!r}")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+        object.__setattr__(self, "value", _require_real(self.value, "estimate"))
+        object.__setattr__(self, "sigma", _require_real(self.sigma, "sigma", 0))
 
 
 def _require_pairs(n_pairs: int) -> int:
     """n_pairs as an int; ValueError unless it is an integer in [1, 2**53]."""
-    n_pairs = experiment._require_count(n_pairs, "n_pairs")
-    if not 1 <= n_pairs <= MAX_PAIRS:
-        raise ValueError(f"n_pairs must lie in [1, 2**53], got {n_pairs!r}")
-    return n_pairs
+    return _require_count(n_pairs, "n_pairs", 1, MAX_PAIRS)
 
 
 @dataclass(frozen=True)
@@ -88,12 +81,8 @@ class TrialPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_pairs", _require_pairs(self.n_pairs))
-        for name in ("n_trials", "master_seed"):
-            object.__setattr__(self, name, experiment._require_count(getattr(self, name), name))
-        if not 1 <= self.n_trials <= MAX_TRIALS:
-            raise ValueError(f"n_trials must lie in [1, 2**32], got {self.n_trials!r}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed!r}")
+        object.__setattr__(self, "n_trials", _require_count(self.n_trials, "n_trials", 1, MAX_TRIALS))
+        object.__setattr__(self, "master_seed", _require_count(self.master_seed, "master_seed"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,7 +289,8 @@ def estimate_weak_value(counts: CountTable, knowledge: float, mb_sign: int = +1)
 
 
 def significance(estimate: EstimateWithError, bound: float = 1.0) -> float:
-    """Signed distance of the estimate from a bound in units of sigma."""
+    """Signed distance of the estimate from a finite real bound in units of sigma; ValueError otherwise."""
+    bound = _require_real(bound, "bound")
     if estimate.sigma <= 0.0:
         raise UndefinedSignificanceError(
             f"significance requires sigma > 0, got {estimate.sigma!r}"

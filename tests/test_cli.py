@@ -145,6 +145,21 @@ def test_quiet_flag_controls_progress_line(tmp_path, capsys):
         # a sign other than + or -
         ("sweep", "--mb-sign", "x", "--out", "x.csv"),
         ("fig3", "--mb-sign", "+1", "--out", "x.csv"),
+        # text that is no finite real, or no integer, for every checked flag
+        ("mc", "--theta", "1j", "--out", "x.csv"),
+        ("mc", "--theta", "-inf", "--out", "x.csv"),
+        ("mc", "--theta", "1e400", "--out", "x.csv"),
+        ("mc", "--theta", "0.5", "--k", "inf", "--out", "x.csv"),
+        ("sweep", "--k", "None", "--out", "x.csv"),
+        ("fig2", "--k", "-inf", "--out-prefix", "x"),
+        ("fig3", "--k-list", "0.5,1j", "--out", "x.csv"),
+        ("gate", "--visibility", "inf", "--out", "x.csv"),
+        ("sweep", "--gate", "ppbs", "--visibility", "-inf", "--out", "x.csv"),
+        ("sweep", "--theta-steps", "nan", "--out", "x.csv"),
+        ("fig3", "--theta-steps", "1" + "0" * 400, "--out", "x.csv"),
+        ("mc", "--theta", "0.5", "--pairs", "1" + "0" * 400, "--out", "x.csv"),
+        ("mc", "--theta", "0.5", "--trials", "inf", "--out", "x.csv"),
+        ("mc", "--theta", "0.5", "--seed", "nan", "--out", "x.csv"),
     ],
 )
 def test_usage_errors_exit_two_without_output(argv, tmp_path, capsys, monkeypatch):
@@ -153,7 +168,8 @@ def test_usage_errors_exit_two_without_output(argv, tmp_path, capsys, monkeypatc
         run_cli(*argv)
     assert excinfo.value.code == 2
     assert not any(tmp_path.iterdir())
-    capsys.readouterr()
+    # the subcommand's own parser reports it, after that subcommand's usage
+    assert f"lgi-weaksim {argv[0]}: error: argument " in capsys.readouterr().err
 
 
 def test_runtime_error_exits_one(tmp_path, capsys):
@@ -466,7 +482,7 @@ def test_usage_error_names_its_flag(argv, flag, tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         run_cli(*argv, out_flag, tmp_path / "x")
     assert excinfo.value.code == 2
-    assert f"argument {flag}: " in capsys.readouterr().err
+    assert f"lgi-weaksim {argv[0]}: error: argument {flag}: " in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

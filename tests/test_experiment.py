@@ -305,12 +305,13 @@ def test_experiment_config_validation():
     lambda value: config_for(value, K_STRONG),
     lambda value: experiment.ThetaGrid(value, 1.0, 3),
     lambda value: experiment.ThetaGrid(0.0, value, 3),
-], ids=["ExperimentConfig", "ThetaGrid_start", "ThetaGrid_stop"])
-@pytest.mark.parametrize("value", ["1", None, 1.0 + 0j, math.nan, -math.inf, 10**400],
-                         ids=["str", "none", "complex", "nan", "inf", "huge_int"])
+    qcore.ket_signal,
+], ids=["ExperimentConfig", "ThetaGrid_start", "ThetaGrid_stop", "ket_signal"])
+@pytest.mark.parametrize("value", ["1", None, 1.0 + 0j, math.nan, -math.inf, 10**400, math.inf],
+                         ids=["str", "none", "complex", "nan", "inf", "huge_int", "plus_inf"])
 def test_an_angle_that_is_not_a_finite_real_is_a_value_error(build, value):
     # a TypeError or OverflowError from math.isfinite would leak otherwise
-    with pytest.raises(ValueError, match="finite real angle"):
+    with pytest.raises(ValueError, match="must be a finite real number, got"):
         build(value)
 
 
@@ -320,9 +321,9 @@ def test_angles_are_held_as_floats():
     assert (type(grid.start), type(grid.stop)) == (float, float)
 
 
-@pytest.mark.parametrize("visibility", ["0.5", 1.0 + 0j, math.nan, -0.1])
+@pytest.mark.parametrize("visibility", ["0.5", 1.0 + 0j, math.nan, -0.1, math.inf, -math.inf, 10**400])
 def test_gate_model_rejects_a_visibility_that_is_not_a_real_in_the_unit_interval(visibility):
-    with pytest.raises(ValueError, match=r"visibility must be a real number in \[0, 1\]"):
+    with pytest.raises(ValueError, match=r"visibility must be a finite real number in \[0, 1\]"):
         experiment.GateModel(kind="ppbs", visibility=visibility)
 
 
@@ -334,11 +335,18 @@ def test_experiment_config_rejects_a_strength_that_is_not_a_real(knowledge):
         experiment.ExperimentConfig(theta=1.0, knowledge=knowledge)
 
 
-@pytest.mark.parametrize("knowledge", [np.float64(K_STRONG), np.float32(0.5), 1, np.int64(1)],
-                         ids=["float64", "float32", "int", "int64"])
+@pytest.mark.parametrize("knowledge", [np.float64(K_STRONG), np.float32(0.5), 1, np.int64(1), True],
+                         ids=["float64", "float32", "int", "int64", "bool"])
 def test_experiment_config_holds_a_numpy_or_integer_strength_as_a_float(knowledge):
     config = experiment.ExperimentConfig(theta=1.0, knowledge=knowledge)
     assert type(config.knowledge) is float and config.knowledge == float(knowledge)
+
+
+@pytest.mark.parametrize("gate_model", ["ppbs", None, 0.9])
+def test_experiment_config_rejects_a_gate_model_that_is_not_a_gate_model(gate_model):
+    # fails at construction, not later in run with an AttributeError
+    with pytest.raises(ValueError, match="gate_model must be a GateModel"):
+        config_for(1.0, K_STRONG, gate_model=gate_model)
 
 
 @pytest.mark.parametrize("mb_sign", [0, 2, -3])

@@ -166,10 +166,10 @@ def test_map_agrees_with_dense_conjugation_oracle(theta, knowledge, xi):
     np.testing.assert_allclose(out, expected, atol=1e-14)
 
 
-@pytest.mark.parametrize("visibility", ["0.5", None, 1.0 + 0j, math.nan, 1.5])
+@pytest.mark.parametrize("visibility", ["0.5", None, 1.0 + 0j, math.nan, 1.5, math.inf, -math.inf, 10**400])
 def test_effective_map_rejects_a_visibility_that_is_not_a_real_in_the_unit_interval(visibility):
     # the same check as GateModel's; a string used to leak a TypeError
-    with pytest.raises(ValueError, match=r"visibility must be a real number in \[0, 1\]"):
+    with pytest.raises(ValueError, match=r"visibility must be a finite real number in \[0, 1\]"):
         optics.effective_map(visibility)
 
 
@@ -229,13 +229,21 @@ def test_fit_visibility_round_trips_near_the_ends_with_zero_tol(knowledge, xi):
     assert abs(reached - target) <= 1e-8 + 1e-13 / knowledge
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf, "1", None, 1j, 10**400])
 def test_fit_visibility_rejects_a_tol_that_is_not_finite_and_nonnegative(tol):
     # 1.2008 lies inside [b_max(0), b_max(1)] = [1.0, 1.3052] at this K
     with pytest.raises(ValueError, match="tol") as caught:
         optics.fit_visibility(1.2008, K_STRONG, tol=tol)
     assert not isinstance(caught.value, UnreachableTargetError)
     assert 0.0 < optics.fit_visibility(1.2008, K_STRONG) < 1.0
+
+
+@pytest.mark.parametrize("target", ["1.2", None, 1.2 + 0j, math.nan, math.inf, -math.inf, 10**400])
+def test_fit_visibility_rejects_a_target_that_is_not_a_finite_real(target):
+    # a str or complex used to leak a TypeError, 10**400 an OverflowError
+    with pytest.raises(ValueError, match="target_bmax must be a finite real number") as caught:
+        optics.fit_visibility(target, K_STRONG)
+    assert not isinstance(caught.value, UnreachableTargetError)
 
 
 def test_fit_visibility_rejects_unreachable_targets():

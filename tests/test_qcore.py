@@ -54,10 +54,17 @@ def test_from_knowledge_rejects_out_of_range():
         qcore.from_knowledge(1.1)
 
 
-@pytest.mark.parametrize("knowledge", [-0.1, -5e-324, 1.0 + 2.0**-52, 1.1, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("knowledge", [-0.1, -5e-324, 1.0 + 2.0**-52, 1.1, math.nan, math.inf, -math.inf,
+                                       "0.5", None, 0.5 + 0j, 10**400])
 def test_meter_setting_rejects_knowledge_outside_the_unit_interval(knowledge):
     with pytest.raises(ValueError):
         qcore.MeterSetting(knowledge)
+
+
+@pytest.mark.parametrize("knowledge", [np.float32(0.5), np.int64(1), True])
+def test_meter_setting_holds_its_strength_as_a_float(knowledge):
+    setting = qcore.MeterSetting(knowledge)
+    assert type(setting.knowledge) is float and setting.knowledge == float(knowledge)
 
 
 @given(thetas)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -49,11 +50,42 @@ def test_count_table_validation():
         stats.CountTable(0, 0, 0, 0)
 
 
-@pytest.mark.parametrize("cells", [(math.nan, 0.5, 0.25, 0.25), (0.25, math.inf, 0.25, 0.25)], ids=["nan", "inf"])
+@pytest.mark.parametrize("cells", [
+    (math.nan, 0.5, 0.25, 0.25), (0.25, math.inf, 0.25, 0.25),
+    ("0.25", 0.25, 0.25, 0.25), (0.25, None, 0.25, 0.25), (0.25, 0.25, 0.25 + 0j, 0.25),
+    (0.25, 0.25, 0.25, -math.inf), (10**400, 0.25, 0.25, 0.25),
+], ids=["nan", "inf", "str", "none", "complex", "minus_inf", "huge_int"])
 def test_probability_table_rejects_non_finite_entries(cells):
     # NaN passes every range comparison; the sampler would then leak numpy's own error
-    with pytest.raises(ValueError, match="probabilities must be finite"):
+    with pytest.raises(ValueError, match="p_[ad]{2} must be a finite real number"):
         experiment.ProbabilityTable(*cells)
+
+
+@pytest.mark.parametrize("build", [
+    lambda value: stats.EstimateWithError(value=value, sigma=0.1),
+    lambda value: stats.EstimateWithError(value=1.0, sigma=value),
+    lambda value: stats.significance(stats.EstimateWithError(1.2, 0.1), bound=value),
+], ids=["value", "sigma", "significance_bound"])
+@pytest.mark.parametrize("value", ["1", None, 1j, math.nan, math.inf, -math.inf, 10**400],
+                         ids=["str", "none", "complex", "nan", "inf", "minus_inf", "huge_int"])
+def test_estimates_and_bounds_that_are_not_finite_reals_are_rejected(build, value):
+    # a str used to leak a TypeError, 10**400 an OverflowError; a NaN bound returned NaN
+    with pytest.raises(ValueError, match="must be a finite real number"):
+        build(value)
+
+
+def test_checked_numbers_are_held_as_floats_and_ints():
+    for table in (experiment.ProbabilityTable(np.float64(0.25), np.float32(0.25), 0.25, np.int8(0) + 0.25),
+                  experiment.ProbabilityTable(True, False, 0, np.int64(0))):
+        assert all(type(p) is float for p in (table.p_dd, table.p_da, table.p_ad, table.p_aa))
+    estimate = stats.EstimateWithError(np.float32(1.5), True)
+    assert (type(estimate.value), type(estimate.sigma)) == (float, float)
+    assert estimate == stats.EstimateWithError(1.5, 1.0)
+    assert type(stats.significance(estimate, bound=np.float32(1.0))) is float
+    plan = stats.TrialPlan(n_pairs=True, n_trials=np.int8(3), master_seed=False)
+    assert plan == stats.TrialPlan(n_pairs=1, n_trials=3, master_seed=0)
+    assert all(type(n) is int for n in (plan.n_pairs, plan.n_trials, plan.master_seed))
+    assert type(experiment.GateModel(kind="ppbs", visibility=np.float32(0.5)).visibility) is float
 
 
 def test_estimate_with_error_validation():
@@ -76,6 +108,16 @@ def test_trial_plan_validation():
         stats.TrialPlan(n_pairs=10, n_trials=10, master_seed=-1)
 
 
+COUNT_PARAMETERS = {
+    "n_trials": lambda n: stats.TrialPlan(n_pairs=1000, n_trials=n),
+    "n_pairs": lambda n: stats.TrialPlan(n_pairs=n, n_trials=3),
+    "master_seed": lambda n: stats.TrialPlan(n_pairs=1000, n_trials=3, master_seed=n),
+    "grid_steps": lambda n: experiment.ThetaGrid(0.0, 1.0, n),
+    "n_da": lambda n: stats.CountTable(1, n, 1, 1),
+}
+NOT_INTEGERS = {"1": "str", None: "none", 1j: "complex", math.nan: "nan", math.inf: "inf", -math.inf: "minus_inf"}
+
+
 @pytest.mark.parametrize("run", [
     # np.arange(2.5) would run 3 trials
     lambda: stats.run_trials(stats.TrialPlan(n_pairs=1000, n_trials=2.5), config_for(THETA_CORNER, K_STRONG)),
@@ -88,7 +130,14 @@ def test_trial_plan_validation():
     # NaN passes every range comparison
     lambda: stats.CountTable(math.nan, 1, 1, 1),
     lambda: stats.CountTable(2.5, 1, 1, 1),
-], ids=["n_trials", "n_pairs", "master_seed", "grid_steps", "count_nan", "count_half"])
+] + [functools.partial(build, value) for build in COUNT_PARAMETERS.values() for value in NOT_INTEGERS] + [
+    # integers, but beyond what float64 counts hold exactly
+    lambda: stats.TrialPlan(n_pairs=10**400, n_trials=3),
+    lambda: stats.TrialPlan(n_pairs=1000, n_trials=10**400),
+    lambda: stats.CountTable(10**400, 1, 1, 1),
+], ids=["n_trials", "n_pairs", "master_seed", "grid_steps", "count_nan", "count_half"]
+    + [f"{name}_{kind}" for name in COUNT_PARAMETERS for kind in NOT_INTEGERS.values()]
+    + ["n_pairs_huge_int", "n_trials_huge_int", "count_huge_int"])
 def test_counts_that_are_not_integers_are_rejected(run):
     with pytest.raises(ValueError, match="must be an integer"):
         run()
@@ -194,7 +243,7 @@ def test_estimate_lg_validation():
         stats.estimate_lg(counts, K_STRONG, mb_sign=2)
 
 
-@pytest.mark.parametrize("knowledge", [math.nan, math.inf, 2.0, 1.0 + 1e-15])
+@pytest.mark.parametrize("knowledge", [math.nan, math.inf, 2.0, 1.0 + 1e-15, 10**400])
 @pytest.mark.parametrize("estimator", [
     lambda k: config_for(1.0, k),
     lambda k: stats.estimate_lg(stats.CountTable(5, 3, 2, 1), k),
