@@ -6,8 +6,9 @@ The package layers are:
 - :mod:`lgi_weaksim.qcore` - the tests' object-level reference: the meter
   setting (the measurement strength K), polarization states and the
   controlled-sign coupling. No command loads it.
-- :mod:`lgi_weaksim.optics` - the paper's fixed PPBS network realizing the
-  gate, with a photon-distinguishability model, as a quantum channel.
+- :mod:`lgi_weaksim.optics` - the paper's PPBS gate as a quantum channel:
+  the network's direct and exchange coincidence paths, two diagonal Kraus
+  operators, mixed by the photons' interference visibility.
 - :mod:`lgi_weaksim.experiment` - the protocol on plain values: outcome
   probabilities, one ``Estimates`` tuple of correlator and weak-value
   estimators, sweeps and extrema.

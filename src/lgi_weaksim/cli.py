@@ -35,8 +35,6 @@ MANIFEST_HEADER = "# lgi-weaksim manifest v1"
 
 # K used by the gate subcommand's correlator ceiling column.
 GATE_REFERENCE_K = 0.5445
-# Sweeps hold every row in memory at once, so the grid size is bounded.
-MAX_THETA_STEPS = 100_000
 # mc holds an (n_trials, 4) float count matrix: 32 MB at this bound.
 MAX_TRIALS = 1_000_000
 
@@ -302,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quiet", action="store_true", help="suppress progress messages")
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="command")
     strength = _flag_type(float, experiment._require_strength)
-    steps = _flag_type(int, _require_count, "theta steps", 2, MAX_THETA_STEPS)
+    steps = _flag_type(int, _require_count, "theta steps", 2, experiment.MAX_THETA_STEPS)
     sign = _flag_type(str, _sign)
     visibility = _flag_type(float, _require_real, "visibility", 0, 1)
 

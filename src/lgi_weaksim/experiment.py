@@ -42,6 +42,8 @@ from .errors import DegenerateConditioningError, ZeroStrengthError, _real_or_nan
 MIN_KNOWLEDGE = 1e-9
 # Post-selection probabilities below this raise a degenerate-conditioning error.
 MIN_POSTSELECTION = 1e-12
+# Sweeps hold every row in memory at once, so the grid size is bounded.
+MAX_THETA_STEPS = 100_000
 
 _TWO_PI = 2.0 * math.pi
 _SEARCH_GRID = 1024          # coarse grid for violation_interval
@@ -84,7 +86,8 @@ class ExperimentConfig:
 
     Raises ZeroStrengthError for K below 1e-9, ValueError for any other K
     outside [1e-9, 1] (NaN and non-reals included), for a theta that is
-    not a finite real and for a gate_model that is not a GateModel.
+    not a finite real, for an mb_sign that is not the integer +1 or -1 (it
+    is held as an int) and for a gate_model that is not a GateModel.
     """
 
     theta: float
@@ -95,7 +98,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", _require_real(self.theta, "theta"))
         object.__setattr__(self, "knowledge", _require_strength(self.knowledge))
-        _require_sign(self.mb_sign)
+        object.__setattr__(self, "mb_sign", _require_sign(self.mb_sign))
         if not isinstance(self.gate_model, GateModel):
             raise ValueError(f"gate_model must be a GateModel, got {self.gate_model!r}")
 
@@ -130,7 +133,11 @@ class ProbabilityTable:
 
 @dataclass(frozen=True)
 class ThetaGrid:
-    """Uniform inclusive angle grid; ValueError unless the ends are finite reals and steps an integer >= 2."""
+    """Uniform inclusive angle grid.
+
+    ValueError unless the ends are finite reals and steps an integer in
+    [2, MAX_THETA_STEPS].
+    """
 
     start: float
     stop: float
@@ -139,7 +146,7 @@ class ThetaGrid:
     def __post_init__(self) -> None:
         object.__setattr__(self, "start", _require_real(self.start, "grid start"))
         object.__setattr__(self, "stop", _require_real(self.stop, "grid stop"))
-        object.__setattr__(self, "steps", _require_count(self.steps, "grid steps", 2))
+        object.__setattr__(self, "steps", _require_count(self.steps, "grid steps", 2, MAX_THETA_STEPS))
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -158,9 +165,12 @@ def _require_strength(knowledge: float) -> float:
     return _require_real(knowledge, "measurement strength K", MIN_KNOWLEDGE, 1)
 
 
-def _require_sign(mb_sign: int) -> None:
-    if mb_sign not in (+1, -1):
+def _require_sign(mb_sign: int) -> int:
+    """mb_sign as the int +1 or -1; ValueError for anything else, -1.0 included."""
+    sign = _require_count(mb_sign, "mb_sign", -1, 1)
+    if sign == 0:
         raise ValueError(f"mb_sign must be +1 or -1, got {mb_sign!r}")
+    return sign
 
 
 @lru_cache(maxsize=16)
@@ -337,7 +347,7 @@ def theta_sweep(
     Raises ValueError unless mb_sign is +1 or -1.
     """
     _require_strength(knowledge)
-    _require_sign(mb_sign)
+    mb_sign = _require_sign(mb_sign)
     return _estimates(*_probability_matrix(grid.values(), knowledge, gate_model).T, knowledge, mb_sign)
 
 
@@ -398,7 +408,7 @@ def b_max(knowledge: float, gate_model: GateModel = IDEAL_GATE, mb_sign: int = +
     Raises ValueError unless mb_sign is +1 or -1.
     """
     _require_strength(knowledge)
-    _require_sign(mb_sign)
+    mb_sign = _require_sign(mb_sign)
     n, d = _b_ratio(knowledge, gate_model, mb_sign)
     t = max(_null_points(n, -d))
     theta_star = math.atan2(n[2] - t * d[2], n[1] - t * d[1]) % _TWO_PI

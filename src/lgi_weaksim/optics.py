@@ -1,16 +1,23 @@
-"""Mode-level model of the nondeterministic linear-optical controlled-sign gate.
+"""The nondeterministic linear-optical controlled-sign gate as a quantum channel.
 
 The gate is the paper's fixed partially polarizing beamsplitter (PPBS)
 network. The central PPBS, where the two photons interfere, transmits V with
 intensity 1/3 and H fully; one compensating PPBS per output arm then
-transmits H with intensity 1/3 and V fully. Reflected V light and
-compensator-rejected H light are routed into two explicit ancilla modes so
-the 6-mode transformation stays unitary. Coincidence detection (exactly one
-photon per output arm) heralds success with probability 1/9 and realizes the
-controlled-sign operation.
+transmits H with intensity 1/3 and V fully. Coincidence detection (exactly
+one photon per output arm) heralds success.
 
-Mode ordering: 0=signal H, 1=signal V, 2=meter H, 3=meter V,
-4=signal-arm ancilla, 5=meter-arm ancilla.
+A coincidence arises along two paths, each a diagonal operator on the
+two-photon polarization basis (HH, HV, VH, VV), signal-major:
+
+- direct, each photon stays in its arm: H passes a compensator and V the
+  central PPBS, each with amplitude 1/sqrt(3), so M_d = I/3;
+- exchange, the photons swap arms: only two V photons can, reflected at the
+  central PPBS with amplitudes sqrt(2/3) and -sqrt(2/3), so
+  M_x = diag(0, 0, 0, -2/3).
+
+Indistinguishable photons add the paths coherently, M = M_d + M_x = CZ/3, an
+exact controlled-sign gate heralded with probability 1/9; distinguishable
+photons add them as probabilities, and no conditional phase survives.
 """
 
 from __future__ import annotations
@@ -22,25 +29,11 @@ import numpy as np
 
 from .errors import UnreachableTargetError, _require_real
 
-N_MODES = 6
-SIGNAL_H, SIGNAL_V, METER_H, METER_V, LOSS_SIGNAL, LOSS_METER = range(N_MODES)
-_SIGNAL_ARM = (SIGNAL_H, SIGNAL_V)
-_METER_ARM = (METER_H, METER_V)
-# Two-photon polarization basis (HH, HV, VH, VV), signal-major, as input mode pairs.
-_BASIS_MODES = tuple(
-    (s, m) for s in _SIGNAL_ARM for m in _METER_ARM
-)
-
-# intensity transmission of each PPBS's attenuated polarization
-_TRANSMISSION = 1.0 / 3.0
-_UNITARITY_TOL = 1e-12
-# vec(I / 4), the input on which a map's success probability is defined
-_MAXIMALLY_MIXED = (np.eye(4) / 4.0).reshape(16)
-_MAXIMALLY_MIXED.setflags(write=False)
-# (CZ kron I)|phi+> with |phi+> = sum_i |ii> / 2: CZ's signs at indices 0, 5, 10, 15
-_CZ_CHOI_VECTOR = np.zeros(16, dtype=complex)
-_CZ_CHOI_VECTOR[0::5] = (0.5, 0.5, 0.5, -0.5)
-_CZ_CHOI_VECTOR.setflags(write=False)
+# the direct and exchange coincidence paths M_d and M_x
+_DIRECT_PATH = np.eye(4) / 3.0
+_DIRECT_PATH.setflags(write=False)
+_EXCHANGE_PATH = np.diag([0.0, 0.0, 0.0, -2.0 / 3.0])
+_EXCHANGE_PATH.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -49,8 +42,8 @@ class EffectiveMap:
 
     The superoperator is 16x16 and acts on row-major vectorized 4x4 density
     matrices; it is trace-nonincreasing, and the stored success probability
-    is its trace on the maximally mixed input (for visibility 1 the success
-    probability is input-independent and equals 1/9).
+    is its trace on the maximally mixed input, (2 - visibility) / 9 (for
+    visibility 1 the success probability is input-independent and equals 1/9).
     """
 
     visibility: float
@@ -67,49 +60,6 @@ class EffectiveMap:
             raise ValueError("success probability must lie in (0, 1]")
 
 
-def _embed_beamsplitter(u: np.ndarray, mode_a: int, mode_b: int, transmission: float) -> None:
-    # a_in -> t a_out + r b_out, b_in -> -r a_out + t b_out (real orthogonal block)
-    t = np.sqrt(transmission)
-    r = np.sqrt(1.0 - transmission)
-    block = np.array([[t, r], [-r, t]])
-    rows = np.ix_((mode_a, mode_b), range(N_MODES))
-    u[rows] = block @ u[rows]
-
-
-def build_network() -> np.ndarray:
-    """Build the 6x6 mode unitary of the PPBS gate network.
-
-    The central PPBS couples the two arms' V modes; each compensator couples
-    its arm's H mode to that arm's ancilla. The fully transmitted
-    polarizations are identities and are left out.
-    """
-    u = np.eye(N_MODES)
-    _embed_beamsplitter(u, SIGNAL_V, METER_V, _TRANSMISSION)
-    _embed_beamsplitter(u, SIGNAL_H, LOSS_SIGNAL, _TRANSMISSION)
-    _embed_beamsplitter(u, METER_H, LOSS_METER, _TRANSMISSION)
-    if np.max(np.abs(u @ u.conj().T - np.eye(N_MODES))) > _UNITARITY_TOL:
-        raise ValueError("network construction lost unitarity")
-    return u
-
-
-def _labeled_path_operators(network: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Direct and exchange path operators for distinguishable (labeled) photons.
-
-    Direct: the signal-input photon exits in the signal arm and the
-    meter-input photon in the meter arm. Exchange: both photons swap arms.
-    With distinguishable photons these two coincidence paths add as
-    probabilities; with indistinguishable ones their sum, the permanent,
-    is the coherent coincidence operator.
-    """
-    direct = np.zeros((4, 4), dtype=complex)
-    exchange = np.zeros((4, 4), dtype=complex)
-    for col, (i1, i2) in enumerate(_BASIS_MODES):
-        for row, (j, k) in enumerate(_BASIS_MODES):
-            direct[row, col] = network[j, i1] * network[k, i2]
-            exchange[row, col] = network[k, i1] * network[j, i2]
-    return direct, exchange
-
-
 def _kraus_to_superoperator(kraus: list[np.ndarray]) -> np.ndarray:
     # row-major vec: vec(K rho K+) = (K kron conj(K)) vec(rho); the broadcast
     # product is np.kron's elementwise multiply
@@ -121,13 +71,12 @@ def _kraus_to_superoperator(kraus: list[np.ndarray]) -> np.ndarray:
 
 @functools.cache
 def _channel_terms() -> tuple[np.ndarray, np.ndarray]:
-    """The visibility-independent superoperators (coherent, labeled) of the network.
+    """The visibility-independent superoperators (coherent, labeled) of the gate.
 
     Built on first use, not at import, and read-only: every map shares them.
     """
-    direct, exchange = _labeled_path_operators(build_network())
-    coherent = _kraus_to_superoperator([direct + exchange])
-    labeled = _kraus_to_superoperator([direct, exchange])
+    coherent = _kraus_to_superoperator([_DIRECT_PATH + _EXCHANGE_PATH])
+    labeled = _kraus_to_superoperator([_DIRECT_PATH, _EXCHANGE_PATH])
     for sup in (coherent, labeled):
         sup.setflags(write=False)
     return coherent, labeled
@@ -136,41 +85,33 @@ def _channel_terms() -> tuple[np.ndarray, np.ndarray]:
 def effective_map(visibility: float) -> EffectiveMap:
     """Coincidence-post-selected gate channel at a given photon visibility.
 
-    ``visibility`` interpolates between fully interfering photons (1, the
-    coherent permanent map, an exact controlled-sign gate) and fully
-    distinguishable photons (0, where the direct and exchange coincidence
-    paths add as probabilities and no conditional phase survives) in the
-    PPBS network. Kraus form::
+    ``visibility`` interpolates between fully interfering photons (1, an
+    exact controlled-sign gate) and fully distinguishable photons (0, where
+    the direct and exchange coincidence paths add as probabilities and no
+    conditional phase survives). Kraus form::
 
         E(rho) = xi * M rho M+  +  (1 - xi) * (Md rho Md+ + Mx rho Mx+)
 
-    with M the coincidence permanent block and Md, Mx the labeled-path
-    operators, M = Md + Mx. Consumers renormalize the output by its trace
-    (the per-input success probability). Raises ValueError unless
-    visibility is a real number in [0, 1].
+    with Md, Mx the direct and exchange path operators and M = Md + Mx.
+    Consumers renormalize the output by its trace (the per-input success
+    probability). Raises ValueError unless visibility is a real number in
+    [0, 1].
     """
     visibility = _require_real(visibility, "visibility", 0, 1)
     coherent, labeled = _channel_terms()
     sup = visibility * coherent + (1.0 - visibility) * labeled
-    mixed_success = float(np.real(np.trace((sup @ _MAXIMALLY_MIXED).reshape(4, 4))))
-    return EffectiveMap(visibility=visibility, superoperator=sup, success_probability=mixed_success)
-
-
-def choi_matrix(emap: EffectiveMap) -> np.ndarray:
-    """Choi matrix sum_ij E(|i><j|) kron |i><j| of the unnormalized map.
-
-    E(|i><j|)[a, b] is sup[4a + b, 4i + j] in the row-major vectorization,
-    so the Choi matrix is a reshuffle of the superoperator's entries:
-    choi[4a + i, 4b + j] = sup[4a + b, 4i + j].
-    """
-    return emap.superoperator.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
+    return EffectiveMap(visibility=visibility, superoperator=sup, success_probability=(2.0 - visibility) / 9.0)
 
 
 def process_fidelity_to_cz(emap: EffectiveMap) -> float:
-    """Process fidelity between the trace-normalized channel and the ideal CZ."""
-    choi = choi_matrix(emap)
-    choi /= np.real(np.trace(choi))
-    return float(np.real(np.vdot(_CZ_CHOI_VECTOR, choi @ _CZ_CHOI_VECTOR)))
+    """Process fidelity between the trace-normalized channel and the ideal CZ.
+
+    On CZ's normalized Choi vector the coherent term has weight 4/9 and the
+    labeled term 2/9 (1/9 per path); the Choi matrix's trace is 4 (2 - xi) / 9,
+    four times the mixed-input success.
+    """
+    xi = emap.visibility
+    return (1.0 + xi) / (2.0 * (2.0 - xi))
 
 
 def fit_visibility(target_bmax: float, knowledge: float, tol: float = 1e-6) -> float:
@@ -212,4 +153,4 @@ def fit_visibility(target_bmax: float, knowledge: float, tol: float = 1e-6) -> f
     # the peak's root nearest the middle is the one in [0, 1]
     peaks = [xi for xi in experiment._null_points(u, w) if u[0] + xi * w[0] <= 0.0]
     xi = min(peaks, key=lambda root: abs(root - 0.5))
-    return min(max(xi, 0.0), 1.0)
+    return float(min(max(xi, 0.0), 1.0))

@@ -271,7 +271,7 @@ def _significances(values, sigmas, bound: float):
 def estimate_lg(counts: CountTable, knowledge: float, mb_sign: int = +1) -> EstimateWithError:
     """Correlator estimate B = mb*s1 + mb*s1s2 - s2 from raw counts."""
     experiment._require_strength(knowledge)
-    experiment._require_sign(mb_sign)
+    mb_sign = experiment._require_sign(mb_sign)
     value, sigma = _lg_arrays(counts.as_array()[None], knowledge, mb_sign)
     return EstimateWithError(value=float(value[0]), sigma=float(sigma[0]))
 
@@ -279,7 +279,7 @@ def estimate_lg(counts: CountTable, knowledge: float, mb_sign: int = +1) -> Esti
 def estimate_weak_value(counts: CountTable, knowledge: float, mb_sign: int = +1) -> EstimateWithError:
     """Weak-value estimate from the signal-D post-selected meter counts."""
     experiment._require_strength(knowledge)
-    experiment._require_sign(mb_sign)
+    mb_sign = experiment._require_sign(mb_sign)
     if counts.n_dd + counts.n_ad == 0:
         raise InsufficientPostselectionError(
             "no events survived the signal-D post-selection; weak value is undefined"

@@ -349,7 +349,7 @@ def test_experiment_config_rejects_a_gate_model_that_is_not_a_gate_model(gate_mo
         config_for(1.0, K_STRONG, gate_model=gate_model)
 
 
-@pytest.mark.parametrize("mb_sign", [0, 2, -3])
+@pytest.mark.parametrize("mb_sign", [0, 2, -3, -1.0, 1.0])
 @pytest.mark.parametrize("entry_point", [
     lambda sign: experiment.b_max(K_STRONG, mb_sign=sign),
     lambda sign: experiment.violation_interval(K_STRONG, mb_sign=sign),
@@ -361,6 +361,20 @@ def test_experiment_config_rejects_a_gate_model_that_is_not_a_gate_model(gate_mo
 def test_every_entry_point_rejects_an_mb_sign_other_than_plus_or_minus_one(entry_point, mb_sign):
     with pytest.raises(ValueError, match="mb_sign"):
         entry_point(mb_sign)
+
+
+@pytest.mark.parametrize("mb_sign", [True, np.int64(-1), -1], ids=["bool", "int64", "int"])
+def test_experiment_config_holds_an_mb_sign_as_the_int_plus_or_minus_one(mb_sign):
+    config = config_for(1.0, K_STRONG, mb_sign=mb_sign)
+    assert type(config.mb_sign) is int and config.mb_sign == mb_sign
+
+
+@pytest.mark.parametrize("steps", [1, 2.5, "3", 100_001, 2**63, 10**400],
+                         ids=["one", "float", "str", "above_bound", "2**63", "huge_int"])
+def test_theta_grid_rejects_steps_that_are_not_an_integer_in_range(steps):
+    # 2**63 used to pass here and leak numpy's IndexError from theta_sweep
+    with pytest.raises(ValueError, match=r"grid steps must be an integer in \[2, 100000\]"):
+        experiment.theta_sweep(K_STRONG, grid=experiment.ThetaGrid(0.0, 1.0, steps))
 
 
 def test_theta_sweep_rows_match_scalar_entry_points():
