@@ -144,7 +144,7 @@ def _sweep_tables(
     for mb_sign in others:
         # the theta cell holds no comma, so the first match is the k and mb_sign cells
         old, new = f",{k_text},{first},", f",{k_text},{mb_sign},"
-        b = experiment._estimates(*probs.T, k, mb_sign).b.tolist()
+        b = experiment._lg_terms(*probs.T, k, mb_sign)[3].tolist()
         signed = []
         for row, value in zip(rows, b):
             head, _, wv, psel = row.rsplit(",", 3)
@@ -231,7 +231,7 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
     for k in k_list:
         probs = experiment._probability_matrix(thetas, k, experiment.IDEAL_GATE)
         header.append(f"b_k{k:g}")
-        columns.append(experiment._estimates(*probs.T, k, mb_sign).b)
+        columns.append(experiment._lg_terms(*probs.T, k, mb_sign)[3])
         trailer.append(_interval_comment(f"{k:g}", experiment.violation_interval(k, mb_sign=mb_sign)))
     # zero-strength limit is analytic; the 1/K calibration forbids simulating K=0
     header.append("b_k0")

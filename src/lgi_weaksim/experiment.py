@@ -48,7 +48,9 @@ MAX_THETA_STEPS = 100_000
 _TWO_PI = 2.0 * math.pi
 _SEARCH_GRID = 1024          # coarse grid for violation_interval
 _GRID_SPACING = _TWO_PI / _SEARCH_GRID
+_SEARCH_ANGLES = np.linspace(0.0, _TWO_PI, _SEARCH_GRID, endpoint=False)
 _REFINE_XTOL = 1e-10         # bisection angular resolution
+_BISECT_RTOL = 4.0 * math.ulp(1.0)      # scipy.optimize.bisect's default rtol, 4 eps
 _PEAK_ROUNDOFF = 16.0 * math.ulp(1.0)   # / K bounds the peak B's round-off, measured below 6 eps/K
 
 # Each estimator is a contrast over the outcomes (dd, da, ad, aa).
@@ -182,8 +184,8 @@ _D_KET = np.array([_INV_SQRT2, _INV_SQRT2], dtype=complex)
 _A_KET = np.array([_INV_SQRT2, -_INV_SQRT2], dtype=complex)
 # rows ordered (dd, da, ad, aa) = (meter, signal); vectors are signal-major
 _PROJ = np.stack([np.kron(s, m) for m in (_D_KET, _A_KET) for s in (_D_KET, _A_KET)])
-_BRAS = _PROJ.conj()[:, None, :]   # (4, 1, 4): one row vector per outcome
-_KETS = _PROJ[:, :, None]          # (4, 4, 1): one column vector per outcome
+_BRAS = _PROJ.conj()[:, None, None, :]   # (4, 1, 1, 4): one row vector per outcome
+_KETS = _PROJ[:, :, None]                 # (4, 4, 1): one column vector per outcome
 # the signal density matrix is (I + cos(theta) Z + sin(theta) X) / 2
 _SIGNAL_TERMS = 0.5 * np.array([np.eye(2), np.diag([1.0, -1.0]), [[0.0, 1.0], [1.0, 0.0]]])
 _CZ_SIGNS = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
@@ -195,34 +197,58 @@ def _meter_amplitudes(knowledge: float) -> np.ndarray:
     return np.array([(g + gb) * _INV_SQRT2, (g - gb) * _INV_SQRT2], dtype=complex)
 
 
+def _joint_kets(thetas: np.ndarray, knowledge: float, gate_model: GateModel) -> np.ndarray:
+    """The signal-meter kets, one row per angle, with the ideal gate's sign flip of VV."""
+    half = np.asarray(thetas, dtype=float) / 2.0
+    cos, sin = np.cos(half), np.sin(half)
+    # the kets are real: each amplitude is one real product, its imaginary part +0
+    mu = _meter_amplitudes(knowledge).real
+    last = -mu[1] if gate_model.kind == "ideal" else mu[1]
+    return np.ascontiguousarray(np.array([cos * mu[0], cos * mu[1], sin * mu[0], sin * last]).T, dtype=complex)
+
+
+def _real_trace(rho: np.ndarray) -> np.ndarray:
+    """np.real(np.trace(rho, axis1=1, axis2=2)) in its pairwise order, read from a view of the diagonals."""
+    diag = rho.reshape(-1, 16)[:, ::5].real
+    return (diag[:, 0] + diag[:, 1]) + (diag[:, 2] + diag[:, 3])
+
+
 def _probability_matrix(thetas: np.ndarray, knowledge: float, gate_model: GateModel) -> np.ndarray:
     """The probability engine: rows of (p_dd, p_da, p_ad, p_aa) for an angle array.
 
     Each row equals, bit for bit and at any batch size, what the
     one-state-at-a-time object path gives for that angle and strength K (the
     tensor product of the signal and meter kets, then the sign flip or the
-    gate map, then the joint projective measurement). Every product below
-    is a stack of the complex BLAS calls that path makes per state: a dot
-    product for ``np.vdot``, a matrix-vector product for the map and for
-    ``rho @ proj``. A real or fused form sums in another order and changes
-    the last bit of some CSV cells.
+    gate map, then the joint projective measurement). Each complex product
+    is made by the BLAS routine that path uses, over every state at once:
+
+    - the gate map is one zgemm of the (N, 16) density rows with the map;
+    - the readout's ``rho @ proj`` is one zgemv per outcome over all 4N rows
+      of the stacked density matrices, each row's dot product the one a 4x4
+      zgemv forms;
+    - ``np.vdot`` (the ideal gate's amplitudes, and the readout's bra times
+      that vector) is one zdotu per state and outcome.
+
+    A zgemm may not replace the per-state zdotu calls: it was bit-identical
+    under OpenBLAS's SkylakeX kernel, but under its Haswell and Prescott
+    kernels it changed the last bit of rows that the bit-contract tests
+    check. A real or fused form sums in another order and changes the last
+    bit of some CSV cells.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    mu = _meter_amplitudes(knowledge)
-    psi = (np.stack([np.cos(thetas / 2.0), np.sin(thetas / 2.0)], axis=1)[:, :, None] * mu).reshape(-1, 4)
+    psi = _joint_kets(thetas, knowledge, gate_model)
     if gate_model.kind == "ideal":
-        psi[:, 3] = -psi[:, 3]
-        amps = _BRAS @ psi[:, None, :, None]
-        probs = np.real(amps * amps.conj())
-    else:
-        sup = _gate_map(gate_model.visibility).superoperator
-        rho = ((psi[:, :, None] * psi[:, None, :].conj()).reshape(-1, 16) @ sup.T).reshape(-1, 4, 4)
-        rho = rho / np.real(np.trace(rho, axis1=1, axis2=2))[:, None, None]
-        # C order keeps each matrix row-major, so BLAS sees the layout one
-        # DensityOperator has; numpy would pick Fortran order for large batches
-        rho = 0.5 * np.add(rho, rho.swapaxes(1, 2).conj(), order="C")
-        probs = np.real(_BRAS @ (rho[:, None] @ _KETS))
-    return np.clip(probs.reshape(-1, 4), 0.0, 1.0)
+        amps = _BRAS @ psi[:, :, None]
+        # |amplitude|^2 is never below +0, so only the upper bound of [0, 1] can bind
+        return np.minimum(np.real(amps * amps.conj()).reshape(4, -1).T, 1.0)
+    sup = _gate_map(gate_model.visibility).superoperator
+    rho = ((psi[:, :, None] * psi[:, None, :].conj()).reshape(-1, 16) @ sup.T).reshape(-1, 4, 4)
+    rho /= _real_trace(rho)[:, None, None]
+    # C order keeps each matrix row-major, so BLAS sees the layout one
+    # DensityOperator has; numpy would pick Fortran order for large batches
+    rho = np.add(rho, rho.swapaxes(1, 2).conj(), order="C")
+    rho *= 0.5
+    vecs = (rho.reshape(-1, 4) @ _KETS).reshape(4, -1, 4, 1)
+    return np.clip(np.real(_BRAS @ vecs).reshape(4, -1).T, 0.0, 1.0)
 
 
 def _trig_coefficients(knowledge: float, gate_model: GateModel) -> tuple[np.ndarray, np.ndarray]:
@@ -291,8 +317,8 @@ class Estimates(NamedTuple):
     wv: float | np.ndarray         # S1 weak value on that branch; NaN if degenerate
 
 
-def _estimates(p_dd, p_da, p_ad, p_aa, knowledge: float, mb_sign: int = +1) -> Estimates:
-    """Every estimator as a contrast of the joint probabilities, written once.
+def _lg_terms(p_dd, p_da, p_ad, p_aa, knowledge: float, mb_sign: int = +1) -> tuple:
+    """(s1, s2, s1s2, b): the Leggett-Garg contrasts of the joint probabilities.
 
     Takes floats or equal-length arrays; the caller has validated K. The
     association of each sum is part of the CSV contract, so keep it as is.
@@ -300,11 +326,15 @@ def _estimates(p_dd, p_da, p_ad, p_aa, knowledge: float, mb_sign: int = +1) -> E
     s1 = ((p_dd + p_da) - (p_ad + p_aa)) / knowledge
     s2 = (p_dd + p_ad) - (p_da + p_aa)
     s1s2 = (p_dd - p_da - p_ad + p_aa) / knowledge
-    b = mb_sign * s1 + mb_sign * s1s2 - s2
+    return s1, s2, s1s2, mb_sign * s1 + mb_sign * s1s2 - s2
+
+
+def _estimates(p_dd, p_da, p_ad, p_aa, knowledge: float, mb_sign: int = +1) -> Estimates:
+    """Every estimator as a contrast of the joint probabilities, written once."""
     psel = p_dd + p_ad
     wv = np.divide(p_dd - p_ad, knowledge * psel, out=np.full(np.shape(psel), np.nan),
                    where=psel >= MIN_POSTSELECTION)
-    return Estimates(s1, s2, s1s2, b, psel, wv)
+    return Estimates(*_lg_terms(p_dd, p_da, p_ad, p_aa, knowledge, mb_sign), psel, wv)
 
 
 def _table_estimates(table: ProbabilityTable, knowledge: float, mb_sign: int = +1) -> Estimates:
@@ -351,17 +381,17 @@ def theta_sweep(
     return _estimates(*_probability_matrix(grid.values(), knowledge, gate_model).T, knowledge, mb_sign)
 
 
-def _bisect(f, predict, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
-    """Root of f on [a, b] by bisection, step for step as scipy.optimize.bisect.
+def _bisect(f, root: float, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
+    """Root of f on [a, b], a < b, by bisection, step for step as scipy.optimize.bisect.
 
     fa and fb are f(a) and f(b). The midpoint update, the sign test and the
     stopping rule (with scipy's default relative tolerance 4 eps) are kept
     exactly, so the endpoints it returns are the ones the interval comments
     have always printed. f maps a list of angles to a list of values; each
-    round lays out the rest of the path as the signs of ``predict`` would
-    steer it and evaluates all its midpoints in one call of f. Decisions come
-    only from f's values: the next round starts at the first midpoint where
-    f and the prediction disagree.
+    round lays out the rest of the path as it would run if f changed sign at
+    the predicted ``root`` and evaluates all its midpoints in one call of f.
+    Decisions come only from f's values: the next round starts at the first
+    midpoint where f and the prediction disagree.
     """
     if fa * fb > 0.0:
         raise RuntimeError(f"bisection bracket [{a!r}, {b!r}] does not enclose a sign change")
@@ -369,7 +399,6 @@ def _bisect(f, predict, a: float, b: float, fa: float, fb: float, xtol: float) -
         return a
     if fb == 0.0:
         return b
-    rtol = 4.0 * np.finfo(float).eps
     dm = b - a
     steps = 0
     while steps < 100:
@@ -379,8 +408,8 @@ def _bisect(f, predict, a: float, b: float, fa: float, fb: float, xtol: float) -
             pdm *= 0.5
             xm = pa + pdm
             path.append(xm)
-            keep.append(predict(xm) * fa >= 0.0)
-            if abs(pdm) < xtol + rtol * abs(xm):
+            keep.append(xm < root)     # f keeps fa's sign left of the root
+            if abs(pdm) < xtol + _BISECT_RTOL * abs(xm):
                 break
             if keep[-1]:
                 pa = xm
@@ -390,11 +419,24 @@ def _bisect(f, predict, a: float, b: float, fa: float, fb: float, xtol: float) -
             dm *= 0.5
             if fm * fa >= 0.0:
                 a = xm
-            if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
+            if fm == 0.0 or abs(dm) < xtol + _BISECT_RTOL * abs(xm):
                 return xm
             if (fm * fa >= 0.0) != predicted:
                 break
     raise RuntimeError(f"bisection did not converge; last midpoint {xm!r}")
+
+
+def _peak(
+    knowledge: float, gate_model: GateModel, mb_sign: int, n: np.ndarray, d: np.ndarray
+) -> tuple[float, float]:
+    """b_max's (theta_star, b_star) from B's ratio (n, d); the caller has validated K and mb_sign."""
+    t = max(_null_points(n, -d))
+    theta_star = math.atan2(n[2] - t * d[2], n[1] - t * d[1]) % _TWO_PI
+    if theta_star == _TWO_PI:    # a tiny negative angle rounds up to the full turn
+        theta_star = 0.0
+    row = _probability_matrix(np.array([theta_star]), knowledge, gate_model)[0]
+    # python floats round exactly like numpy's, at a fraction of the cost
+    return theta_star, _lg_terms(*row.tolist(), knowledge, mb_sign)[3]
 
 
 def b_max(knowledge: float, gate_model: GateModel = IDEAL_GATE, mb_sign: int = +1) -> tuple[float, float]:
@@ -409,14 +451,7 @@ def b_max(knowledge: float, gate_model: GateModel = IDEAL_GATE, mb_sign: int = +
     """
     _require_strength(knowledge)
     mb_sign = _require_sign(mb_sign)
-    n, d = _b_ratio(knowledge, gate_model, mb_sign)
-    t = max(_null_points(n, -d))
-    theta_star = math.atan2(n[2] - t * d[2], n[1] - t * d[1]) % _TWO_PI
-    if theta_star == _TWO_PI:    # a tiny negative angle rounds up to the full turn
-        theta_star = 0.0
-    row = _probability_matrix(np.array([theta_star]), knowledge, gate_model)[0]
-    # python floats round exactly like numpy's, at a fraction of the cost
-    return theta_star, _estimates(*row.tolist(), knowledge, mb_sign).b
+    return _peak(knowledge, gate_model, mb_sign, *_b_ratio(knowledge, gate_model, mb_sign))
 
 
 def violation_interval(
@@ -429,49 +464,69 @@ def violation_interval(
     the arc wraps through zero), or None when no violation exists: when the
     peak B exceeds 1 by no more than max(1e-12, 16 eps/K), its round-off.
     Endpoints are located by bisection to 1e-10 on the engine's B. Every
-    decision of the search comes from engine values; the closed-form sign of
-    (n - d).x only predicts the bisection's path, so that each round of it
-    costs one engine call. Raises ValueError unless mb_sign is +1 or -1.
+    decision of the search comes from engine values; the closed-form
+    crossings of (n - d).x only predict the bisection's path, so that each
+    round of it costs one engine call. Raises ValueError unless mb_sign is
+    +1 or -1.
     """
-    theta_star, b_star = b_max(knowledge, gate_model, mb_sign)
+    _require_strength(knowledge)
+    mb_sign = _require_sign(mb_sign)
+    n, d = _b_ratio(knowledge, gate_model, mb_sign)
+    theta_star, b_star = _peak(knowledge, gate_model, mb_sign, n, d)
     if b_star <= 1.0 + max(1e-12, _PEAK_ROUNDOFF / knowledge):
         return None
-    thetas = np.linspace(0.0, _TWO_PI, _SEARCH_GRID, endpoint=False)
-    values = _estimates(*_probability_matrix(thetas, knowledge, gate_model).T, knowledge, mb_sign).b
+
+    def b_values(angles: np.ndarray) -> np.ndarray:
+        return _lg_terms(*_probability_matrix(angles, knowledge, gate_model).T, knowledge, mb_sign)[3]
+
+    values = b_values(_SEARCH_ANGLES)
     peak = int(np.argmax(values))
+    start = _SEARCH_ANGLES[peak]
     # the peak's image nearest the grid peak, for arcs that miss the grid
-    theta_star -= _TWO_PI * round((theta_star - thetas[peak]) / _TWO_PI)
-    n, d = _b_ratio(knowledge, gate_model, mb_sign)
-    p0, p1, p2 = (n - d).tolist()
+    theta_star -= _TWO_PI * round((theta_star - start) / _TWO_PI)
 
     def excess(angles: list[float]) -> list[float]:
-        reduced = np.array([theta % _TWO_PI for theta in angles])
-        return (_estimates(*_probability_matrix(reduced, knowledge, gate_model).T, knowledge, mb_sign).b - 1.0).tolist()
+        return (b_values(np.array([theta % _TWO_PI for theta in angles])) - 1.0).tolist()
 
-    def predicted_excess(theta: float) -> float:
-        # B - 1 = (n - d).x / d.x with d.x > 0, so this has the sign of B - 1
-        return p0 + p1 * math.cos(theta) + p2 * math.sin(theta)
+    # B - 1 has the sign of (n - d).x = p0 + r cos(theta - phi), zero at phi +- alpha
+    p0, p1, p2 = (n - d).tolist()
+    phi = math.atan2(p2, p1)
+    alpha = math.atan2(math.sqrt(max(p1 * p1 + p2 * p2 - p0 * p0, 0.0)), -p0)
 
-    def walk(direction: int) -> float:
-        # march from the grid peak until B <= 1, then bisect the crossing
-        for step in range(1, _SEARCH_GRID):
-            if values[(peak + direction * step) % _SEARCH_GRID] <= 1.0:
-                outside = thetas[peak] + direction * step * _GRID_SPACING
-                inside = thetas[peak] + direction * (step - 1) * _GRID_SPACING
-                f_outside, f_inside, f_star = excess([outside, inside, theta_star])
-                # the grid and the recomputed angle can disagree by round-off
-                # when the crossing sits on a grid point
-                if f_outside >= 0.0:
-                    return outside
-                # a violation arc narrower than one grid cell misses the grid
-                if f_inside < 0.0:
-                    inside, f_inside = theta_star, f_star
-                (lo, f_lo), (hi, f_hi) = sorted(((float(inside), f_inside), (float(outside), f_outside)))
-                return _bisect(excess, predicted_excess, lo, hi, f_lo, f_hi, _REFINE_XTOL)
-        raise RuntimeError("no B = 1 crossing found; grid walk exhausted")
+    def predicted_root(lo: float, hi: float) -> float:
+        mid = 0.5 * (lo + hi)
+        roots = [root + _TWO_PI * round((mid - root) / _TWO_PI) for root in (phi - alpha, phi + alpha)]
+        return min(roots, key=lambda root: abs(root - mid))
 
-    theta_lo = walk(-1)
-    theta_hi = walk(+1)
+    # march from the grid peak each way to the first grid point with B <= 1;
+    # below[j] is that test j grid steps after the peak, cyclically
+    below = np.roll(values <= 1.0, -peak)
+    brackets = []
+    for direction, ahead in ((-1, below[:0:-1]), (+1, below[1:])):
+        hits = np.flatnonzero(ahead)
+        if not hits.size:
+            raise RuntimeError("no B = 1 crossing found; grid walk exhausted")
+        step = int(hits[0]) + 1
+        brackets.append((step, start + direction * step * _GRID_SPACING,
+                         start + direction * (step - 1) * _GRID_SPACING))
+    (step_lo, outside_lo, inside_lo), (step_hi, outside_hi, inside_hi) = brackets
+    f_outside_lo, f_inside_lo, f_outside_hi, f_inside_hi, f_star = excess(
+        [outside_lo, inside_lo, outside_hi, inside_hi, theta_star])
+
+    def crossing(step: int, outside: float, inside: float, f_outside: float, f_inside: float) -> float:
+        # the grid and the recomputed angle can disagree by round-off when the
+        # crossing sits on a grid point
+        if f_outside >= 0.0:
+            return outside
+        # a violation arc narrower than one grid cell misses the grid, and a
+        # grid peak exactly on B = 1 would end both walks at that one point
+        if f_inside < 0.0 or (step == 1 and f_inside == 0.0 and f_star > 0.0):
+            inside, f_inside = theta_star, f_star
+        (lo, f_lo), (hi, f_hi) = sorted(((float(inside), f_inside), (float(outside), f_outside)))
+        return _bisect(excess, predicted_root(lo, hi), lo, hi, f_lo, f_hi, _REFINE_XTOL)
+
+    theta_lo = crossing(step_lo, outside_lo, inside_lo, f_outside_lo, f_inside_lo)
+    theta_hi = crossing(step_hi, outside_hi, inside_hi, f_outside_hi, f_inside_hi)
     width = theta_hi - theta_lo
     theta_lo %= _TWO_PI
     return theta_lo, theta_lo + width

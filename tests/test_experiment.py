@@ -112,14 +112,21 @@ def test_engine_rows_equal_qcore_reference_bit_for_bit(kind, batch):
         assert np.array_equal(table.as_array(), expected), (knowledge, xi, theta)
 
 
+# the readout's zgemv runs over all 4N rows of a batch, and OpenBLAS splits
+# the rows into blocks: batch sizes on both sides of its block edges
+BLOCK_EDGE_BATCHES = (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 255, 256, 257, 1023, 1024, 1025, 4096)
+
+
 @pytest.mark.parametrize("gate", [experiment.IDEAL_GATE, experiment.GateModel(kind="ppbs", visibility=0.7077)])
 def test_engine_rows_do_not_depend_on_batch_size(gate):
-    angles = np.random.default_rng(7).uniform(-60.0, 60.0, 512)
+    angles = np.random.default_rng(7).uniform(-60.0, 60.0, max(BLOCK_EDGE_BATCHES))
     for knowledge in (1e-9, 0.00348113, K_WEAK, K_STRONG, 1.0):
-        batch = experiment._probability_matrix(angles, knowledge, gate)
-        for i in range(len(angles)):
-            single = experiment._probability_matrix(angles[i:i + 1], knowledge, gate)[0]
-            assert np.array_equal(batch[i], single), (knowledge, angles[i])
+        singles = np.array([experiment._probability_matrix(angles[i:i + 1], knowledge, gate)[0]
+                            for i in range(len(angles))])
+        for batch in BLOCK_EDGE_BATCHES:
+            rows = experiment._probability_matrix(angles[:batch], knowledge, gate)
+            # bytes, so that the sign of a zero counts too
+            assert rows.tobytes() == singles[:batch].tobytes(), (knowledge, batch)
 
 
 @given(thetas, strengths)
@@ -551,6 +558,8 @@ def test_solvers_hold_over_the_whole_domain(log_k, xi, kind, mb_sign):
 @example(log_k=math.log10(1.0 - 1e-8), xi=0.0, kind="ideal", mb_sign=-1)
 @example(log_k=math.log10(2.484119309168553e-07), xi=0.0, kind="ppbs", mb_sign=-1)
 @example(log_k=math.log10(7.3784739887984216e-06), xi=0.00034088121497868835, kind="ppbs", mb_sign=+1)
+# B = 1 exactly at the grid's peak theta = 0, the arc beside it; once reported as (0, 0)
+@example(log_k=-1.3574097318562925, xi=5.960464477539063e-08, kind="ppbs", mb_sign=+1)
 @settings(deadline=None, max_examples=100)
 def test_violation_interval_endpoints_match_the_oracles(log_k, xi, kind, mb_sign):
     # the domain and tolerance of test_solvers_hold_over_the_whole_domain
@@ -575,6 +584,68 @@ def test_violation_interval_endpoints_match_the_oracles(log_k, xi, kind, mb_sign
     for edge, into_arc in ((lo, +1.0), (hi, -1.0)):
         assert excess(edge - into_arc * tol) <= tol, (edge, "outside")
         assert excess(edge + into_arc * inward) >= -tol, (edge, "inside")
+
+
+@pytest.mark.parametrize("gate", [experiment.IDEAL_GATE, experiment.GateModel(kind="ppbs", visibility=0.7077)])
+@pytest.mark.parametrize("knowledge", [K_STRONG, K_WEAK])
+@pytest.mark.parametrize("mb_sign", [+1, -1])
+def test_violation_interval_engine_calls(monkeypatch, gate, knowledge, mb_sign):
+    sizes = []
+    engine = experiment._probability_matrix
+
+    def counted(thetas, *args):
+        sizes.append(len(thetas))
+        return engine(thetas, *args)
+
+    monkeypatch.setattr(experiment, "_probability_matrix", counted)
+    assert experiment.violation_interval(knowledge, gate, mb_sign) is not None
+    # the peak angle; the grid; both walks' end points and the peak angle, in
+    # exactly one call; one predicted bisection path per walk, from one grid
+    # cell down to 1e-10 in 26 halvings
+    assert sizes == [1, 1024, 5, 26, 26]
+
+
+def oracle_crossing(f, inside, outside):
+    """The oracle's B = 1 crossing between an angle inside the arc and one outside, by bisection."""
+    for _ in range(200):
+        mid = 0.5 * (inside + outside)
+        if mid in (inside, outside):
+            break
+        inside, outside = (mid, outside) if f(mid) > 0.0 else (inside, mid)
+    return 0.5 * (inside + outside)
+
+
+@pytest.mark.parametrize(
+    "knowledge, xi, mb_sign",
+    [
+        (0.999999972798709, 1.0, -1),       # B peaks 2.7e-8 above 1, the arc starts at the grid point pi
+        (0.9999999909451207, 1.0, -1),      # 0.9e-8 above 1
+        (10.0**-1.3574097318562925, 5.960464477539063e-08, +1),   # 1.8e-12 above 1, the arc ends at 0
+    ],
+)
+def test_arc_beside_a_grid_peak_on_b_equal_one(knowledge, xi, mb_sign):
+    # B = 1 exactly at theta = 0 (Mb = +S1) and pi (Mb = -S1), so the grid's peak
+    # can sit on B = 1 with the whole arc inside the next grid cell; both walks
+    # once kept that point and returned the empty interval (theta, theta)
+    gate = experiment.GateModel(kind="ppbs", visibility=xi)
+
+    def excess(theta):
+        return oracles.ppbs_b_closed(theta, knowledge, xi, mb_sign) - 1.0
+
+    edge = TWO_PI if mb_sign > 0 else math.pi
+    theta_star = experiment.b_max(knowledge, gate, mb_sign)[0]
+    theta_star -= TWO_PI * round((theta_star - edge) / TWO_PI)
+    outside = edge + 4.0 * (theta_star - edge)
+    assert excess(theta_star) > 0.0 > excess(outside)
+    far = oracle_crossing(excess, theta_star, outside)
+    width = abs(far - edge)
+    lo, hi = experiment.violation_interval(knowledge, gate, mb_sign)
+    assert 0.0 <= lo < TWO_PI
+    # the last arc peaks about 400 eps/K above 1, so B's round-off moves its
+    # ends by about 1e-4 of its width; the first two are good to 3e-7
+    assert hi - lo == pytest.approx(width, rel=1e-3)
+    expected_lo = min(edge, far) % TWO_PI
+    assert lo == pytest.approx(expected_lo, abs=1e-3 * width)
 
 
 @pytest.mark.parametrize("theta", [1e6, -1e6, 1e15, -1e15, 1e300, -1e300])

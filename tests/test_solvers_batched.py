@@ -90,7 +90,7 @@ def reference_violation_interval(knowledge, gate_model=experiment.IDEAL_GATE, mb
                 if excess(outside) >= 0.0:
                     return outside
                 inside = thetas[peak] + direction * (step - 1) * GRID_SPACING
-                if excess(inside) < 0.0:
+                if excess(inside) < 0.0 or (step == 1 and excess(inside) == 0.0 and excess(theta_star) > 0.0):
                     inside = theta_star
                 lo, hi = sorted((float(inside), float(outside)))
                 return reference_bisect(excess, lo, hi, 1e-10)
