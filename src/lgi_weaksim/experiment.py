@@ -49,6 +49,8 @@ _TWO_PI = 2.0 * math.pi
 _SEARCH_GRID = 1024          # coarse grid for violation_interval
 _GRID_SPACING = _TWO_PI / _SEARCH_GRID
 _SEARCH_ANGLES = np.linspace(0.0, _TWO_PI, _SEARCH_GRID, endpoint=False)
+_SEARCH_COS, _SEARCH_SIN = np.cos(_SEARCH_ANGLES), np.sin(_SEARCH_ANGLES)
+_DECIDE_MARGIN = 2.0**10 * math.ulp(1.0)  # / K: over 16 times |closed-form B - engine B|, measured below 8 eps/K
 _REFINE_XTOL = 1e-10         # bisection angular resolution
 _BISECT_RTOL = 4.0 * math.ulp(1.0)      # scipy.optimize.bisect's default rtol, 4 eps
 _PEAK_ROUNDOFF = 16.0 * math.ulp(1.0)   # / K bounds the peak B's round-off, measured below 6 eps/K
@@ -282,6 +284,11 @@ def _b_ratio(knowledge: float, gate_model: GateModel, mb_sign: int) -> tuple[np.
     return _contrast(knowledge, mb_sign) @ num, trace
 
 
+def _ratio_values(n: np.ndarray, d: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """B = n.x / d.x at angles given by their cos and sin, by elementwise ufuncs: no BLAS call."""
+    return (n[0] + n[1] * cos + n[2] * sin) / (d[0] + d[1] * cos + d[2] * sin)
+
+
 def _null_points(u: np.ndarray, w: np.ndarray) -> list[float]:
     """Real s where p = u + s w has p0^2 = p1^2 + p2^2.
 
@@ -381,17 +388,17 @@ def theta_sweep(
     return _estimates(*_probability_matrix(grid.values(), knowledge, gate_model).T, knowledge, mb_sign)
 
 
-def _bisect(f, root: float, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
+def _bisect(root: float, a: float, b: float, fa: float, fb: float, xtol: float):
     """Root of f on [a, b], a < b, by bisection, step for step as scipy.optimize.bisect.
 
-    fa and fb are f(a) and f(b). The midpoint update, the sign test and the
+    A generator, run by ``_roots``: fa and fb are f(a) and f(b); each round
+    yields the rest of the path as it would run if f changed sign at the
+    predicted ``root`` and is sent f's values at those midpoints; the root
+    is its return value. The midpoint update, the sign test and the
     stopping rule (with scipy's default relative tolerance 4 eps) are kept
     exactly, so the endpoints it returns are the ones the interval comments
-    have always printed. f maps a list of angles to a list of values; each
-    round lays out the rest of the path as it would run if f changed sign at
-    the predicted ``root`` and evaluates all its midpoints in one call of f.
-    Decisions come only from f's values: the next round starts at the first
-    midpoint where f and the prediction disagree.
+    have always printed. Decisions come only from f's values: the next
+    round starts at the first midpoint where f and the prediction disagree.
     """
     if fa * fb > 0.0:
         raise RuntimeError(f"bisection bracket [{a!r}, {b!r}] does not enclose a sign change")
@@ -413,7 +420,8 @@ def _bisect(f, root: float, a: float, b: float, fa: float, fb: float, xtol: floa
                 break
             if keep[-1]:
                 pa = xm
-        for xm, fm, predicted in zip(path, f(path), keep):
+        values = yield path
+        for xm, fm, predicted in zip(path, values, keep):
             # a and dm follow the path as long as the decisions agree, so xm == a + dm / 2
             steps += 1
             dm *= 0.5
@@ -424,6 +432,21 @@ def _bisect(f, root: float, a: float, b: float, fa: float, fb: float, xtol: floa
             if (fm * fa >= 0.0) != predicted:
                 break
     raise RuntimeError(f"bisection did not converge; last midpoint {xm!r}")
+
+
+def _roots(searches: list, f) -> list[float]:
+    """Run ``_bisect`` generators to their roots, with one call of f per round for every open search's path."""
+    roots, sent = {}, dict.fromkeys(range(len(searches)))
+    while sent:
+        paths = {}
+        for index, values in sent.items():
+            try:
+                paths[index] = searches[index].send(values)
+            except StopIteration as stop:
+                roots[index] = stop.value
+        values = iter(f([xm for path in paths.values() for xm in path]) if paths else [])
+        sent = {index: [next(values) for _ in path] for index, path in paths.items()}
+    return [roots[index] for index in range(len(searches))]
 
 
 def _peak(
@@ -464,10 +487,13 @@ def violation_interval(
     the arc wraps through zero), or None when no violation exists: when the
     peak B exceeds 1 by no more than max(1e-12, 16 eps/K), its round-off.
     Endpoints are located by bisection to 1e-10 on the engine's B. Every
-    decision of the search comes from engine values; the closed-form
-    crossings of (n - d).x only predict the bisection's path, so that each
-    round of it costs one engine call. Raises ValueError unless mb_sign is
-    +1 or -1.
+    decision of the search equals the engine's, and the closed form
+    B = n.x / d.x makes it wherever its error bound allows: it is within
+    _DECIDE_MARGIN / K of the engine's B, so it decides each grid point
+    farther than that from B = 1 and from the grid's peak, and the engine
+    is run only on the rest. The closed-form crossings of (n - d).x predict
+    each bisection's path, so that a round of both ends' bisections costs
+    one engine call. Raises ValueError unless mb_sign is +1 or -1.
     """
     _require_strength(knowledge)
     mb_sign = _require_sign(mb_sign)
@@ -479,7 +505,14 @@ def violation_interval(
     def b_values(angles: np.ndarray) -> np.ndarray:
         return _lg_terms(*_probability_matrix(angles, knowledge, gate_model).T, knowledge, mb_sign)[3]
 
-    values = b_values(_SEARCH_ANGLES)
+    # the closed form is within _DECIDE_MARGIN / K of the engine's B, so
+    # farther than that from B = 1 and from the grid's peak it gives each
+    # grid point the engine's answers to B <= 1 and to the argmax; the
+    # engine decides the rest
+    values = _ratio_values(n, d, _SEARCH_COS, _SEARCH_SIN)
+    margin = _DECIDE_MARGIN / knowledge
+    undecided = np.flatnonzero((np.abs(values - 1.0) <= margin) | (values >= values.max() - 2.0 * margin))
+    values[undecided] = b_values(_SEARCH_ANGLES[undecided])
     peak = int(np.argmax(values))
     start = _SEARCH_ANGLES[peak]
     # the peak's image nearest the grid peak, for arcs that miss the grid
@@ -513,7 +546,7 @@ def violation_interval(
     f_outside_lo, f_inside_lo, f_outside_hi, f_inside_hi, f_star = excess(
         [outside_lo, inside_lo, outside_hi, inside_hi, theta_star])
 
-    def crossing(step: int, outside: float, inside: float, f_outside: float, f_inside: float) -> float:
+    def crossing(step: int, outside: float, inside: float, f_outside: float, f_inside: float):
         # the grid and the recomputed angle can disagree by round-off when the
         # crossing sits on a grid point
         if f_outside >= 0.0:
@@ -523,10 +556,10 @@ def violation_interval(
         if f_inside < 0.0 or (step == 1 and f_inside == 0.0 and f_star > 0.0):
             inside, f_inside = theta_star, f_star
         (lo, f_lo), (hi, f_hi) = sorted(((float(inside), f_inside), (float(outside), f_outside)))
-        return _bisect(excess, predicted_root(lo, hi), lo, hi, f_lo, f_hi, _REFINE_XTOL)
+        return (yield from _bisect(predicted_root(lo, hi), lo, hi, f_lo, f_hi, _REFINE_XTOL))
 
-    theta_lo = crossing(step_lo, outside_lo, inside_lo, f_outside_lo, f_inside_lo)
-    theta_hi = crossing(step_hi, outside_hi, inside_hi, f_outside_hi, f_inside_hi)
+    theta_lo, theta_hi = _roots([crossing(step_lo, outside_lo, inside_lo, f_outside_lo, f_inside_lo),
+                                 crossing(step_hi, outside_hi, inside_hi, f_outside_hi, f_inside_hi)], excess)
     width = theta_hi - theta_lo
     theta_lo %= _TWO_PI
     return theta_lo, theta_lo + width

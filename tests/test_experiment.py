@@ -599,10 +599,12 @@ def test_violation_interval_engine_calls(monkeypatch, gate, knowledge, mb_sign):
 
     monkeypatch.setattr(experiment, "_probability_matrix", counted)
     assert experiment.violation_interval(knowledge, gate, mb_sign) is not None
-    # the peak angle; the grid; both walks' end points and the peak angle, in
-    # exactly one call; one predicted bisection path per walk, from one grid
-    # cell down to 1e-10 in 26 halvings
-    assert sizes == [1, 1024, 5, 26, 26]
+    # the peak angle; the grid points the closed form leaves undecided, here
+    # the one or two at the grid's peak; both walks' end points and the peak
+    # angle, in exactly one call; both walks' predicted bisection paths in
+    # one call, each from one grid cell down to 1e-10 in 26 halvings
+    grid = 1 if (gate.kind, mb_sign) == ("ppbs", -1) else 2
+    assert sizes == [1, grid, 5, 52]
 
 
 def oracle_crossing(f, inside, outside):

@@ -243,8 +243,13 @@ GRID_POINT_CASES = [
 ]
 
 
-def bulk_interval_cases(count=2000, seed=2009):
-    """K log-uniform over the domain or within 1e-12..1e-2 of 1, xi in {0, 1, random}, both gates and signs."""
+def bulk_interval_cases(count=2000, seed=2009, stress=300):
+    """K log-uniform over the domain or within 1e-12..1e-2 of 1, xi in {0, 1, random}, both gates and signs.
+
+    The last ``stress`` cases sit where the closed form's margin is widest or
+    its error largest: K log-uniform in [1e-9, 1e-7] or within 1e-8 of 1,
+    with the ideal gate or ppbs at xi in {0, 2**-24, 1}.
+    """
     rng = np.random.default_rng(seed)
     cases = [(knowledge, experiment.IDEAL_GATE, mb_sign) for knowledge, mb_sign in GRID_POINT_CASES]
     for index in range(count):
@@ -255,12 +260,38 @@ def bulk_interval_cases(count=2000, seed=2009):
         xi = (0.0, 1.0, float(rng.uniform()))[index % 3]
         kind = ("ideal", "ppbs")[int(rng.integers(2))]
         cases.append((float(knowledge), gate_for(kind, xi), int(rng.choice((+1, -1)))))
+    for index in range(stress):
+        if index % 2:
+            knowledge = 1.0 - 10.0 ** rng.uniform(-12.0, -8.0)
+        else:
+            knowledge = max(10.0 ** rng.uniform(-9.0, -7.0), experiment.MIN_KNOWLEDGE)
+        kind, xi = (("ideal", None), ("ppbs", 0.0), ("ppbs", 2.0**-24), ("ppbs", 1.0))[index // 2 % 4]
+        cases.append((float(knowledge), gate_for(kind, xi), int(rng.choice((+1, -1)))))
     return cases
 
 
 def test_violation_interval_equals_sequential_search_in_bulk():
     compared = sum(assert_same_interval(*case) is not None for case in bulk_interval_cases())
     assert compared > 1000     # most cases have an arc whose endpoints are compared
+
+
+def test_closed_form_b_is_within_the_search_margin_of_the_engine():
+    # violation_interval lets the closed form decide every grid point farther
+    # than _DECIDE_MARGIN / K from a decision, so its distance from the
+    # engine's B must stay below that, here with a 16-fold reserve
+    rng = np.random.default_rng(18)
+    angles = np.concatenate([experiment._SEARCH_ANGLES, rng.uniform(0.0, TWO_PI, 512)])
+    cos, sin = np.cos(angles), np.sin(angles)
+    strengths = [1e-9, 1.0, 1.0 - 1e-8, 1.0 - 3.4e-11, *(10.0 ** rng.uniform(-9.0, 0.0, 12)).tolist()]
+    for knowledge in strengths:
+        gates = [experiment.IDEAL_GATE] + [gate_for("ppbs", xi) for xi in (0.0, 2.0**-24, 1.0, float(rng.uniform()))]
+        for gate in gates:
+            p = experiment._probability_matrix(angles, knowledge, gate)
+            for mb_sign in (+1, -1):
+                engine = experiment._lg_terms(*p.T, knowledge, mb_sign)[3]
+                closed = experiment._ratio_values(*experiment._b_ratio(knowledge, gate, mb_sign), cos, sin)
+                error = np.max(np.abs(closed - engine))
+                assert error <= experiment._DECIDE_MARGIN / (16.0 * knowledge), (knowledge, gate, mb_sign, error)
 
 
 def test_cached_gate_channel_equals_rebuilt_map():
