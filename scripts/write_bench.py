@@ -15,13 +15,16 @@ The file holds three things:
 - ``perfbench``: the last JSON line that ``perfbench/run.py --workload all
   --seed 0 --seconds 30`` prints, read as output.
 - ``stamp``: the python and numpy versions, the OpenBLAS core, the
-  ``PYTHONDONTWRITEBYTECODE`` setting, the host's CPU count and the git
-  commit, so that a number can be told apart from the machine it came from.
+  ``PYTHONDONTWRITEBYTECODE`` setting, whether each package module's
+  bytecode was cached before this script imported it, the host's CPU count
+  and the git commit, so that a number can be told apart from the machine
+  it came from.
 """
 
 import argparse
 import ctypes
 import glob
+import importlib.util
 import json
 import math
 import os
@@ -36,6 +39,11 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "scripts"))
+# read before the package is imported, which may write the bytecode
+BYTECODE_CACHED = {
+    path.name: os.path.exists(importlib.util.cache_from_source(str(path)))
+    for path in sorted((ROOT / "src" / "lgi_weaksim").glob("*.py"))
+}
 
 import numpy as np  # noqa: E402
 
@@ -157,6 +165,7 @@ def stamp() -> dict:
         "numpy": np.__version__,
         "openblas_core": openblas_core(),
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "bytecode_cached": BYTECODE_CACHED,
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
         "git_commit": git("rev-parse", "HEAD"),

@@ -221,13 +221,14 @@ def _probability_matrix(thetas: np.ndarray, knowledge: float, gate_model: GateMo
     Each row equals, bit for bit and at any batch size, what the
     one-state-at-a-time object path gives for that angle and strength K (the
     tensor product of the signal and meter kets, then the sign flip or the
-    gate map, then the joint projective measurement). Each complex product
-    is made by the BLAS routine that path uses, over every state at once:
+    gate map, then the joint projective measurement). The gate map is an
+    entrywise product with the map's real 4x4 multiplier, with no BLAS call,
+    and its output is Hermitian as it stands. The readout's complex products
+    are made by the BLAS routine that path uses, over every state at once:
 
-    - the gate map is one zgemm of the (N, 16) density rows with the map;
-    - the readout's ``rho @ proj`` is one zgemv per outcome over all 4N rows
-      of the stacked density matrices, each row's dot product the one a 4x4
-      zgemv forms;
+    - ``rho @ proj`` is one zgemv per outcome over all 4N rows of the
+      stacked density matrices, each row's dot product the one a 4x4 zgemv
+      forms;
     - ``np.vdot`` (the ideal gate's amplitudes, and the readout's bra times
       that vector) is one zdotu per state and outcome.
 
@@ -242,13 +243,10 @@ def _probability_matrix(thetas: np.ndarray, knowledge: float, gate_model: GateMo
         amps = _BRAS @ psi[:, :, None]
         # |amplitude|^2 is never below +0, so only the upper bound of [0, 1] can bind
         return np.minimum(np.real(amps * amps.conj()).reshape(4, -1).T, 1.0)
-    sup = _gate_map(gate_model.visibility).superoperator
-    rho = ((psi[:, :, None] * psi[:, None, :].conj()).reshape(-1, 16) @ sup.T).reshape(-1, 4, 4)
-    rho /= _real_trace(rho)[:, None, None]
-    # C order keeps each matrix row-major, so BLAS sees the layout one
-    # DensityOperator has; numpy would pick Fortran order for large batches
-    rho = np.add(rho, rho.swapaxes(1, 2).conj(), order="C")
-    rho *= 0.5
+    rho = psi[:, :, None] * psi[:, None, :].conj() * _gate_map(gate_model.visibility).multiplier
+    # the values of rho /= trace: numpy divides by a complex number with zero
+    # imaginary part by multiplying by its reciprocal
+    rho *= (1.0 / _real_trace(rho))[:, None, None]
     vecs = (rho.reshape(-1, 4) @ _KETS).reshape(4, -1, 4, 1)
     return np.clip(np.real(_BRAS @ vecs).reshape(4, -1).T, 0.0, 1.0)
 
@@ -264,11 +262,7 @@ def _trig_coefficients(knowledge: float, gate_model: GateModel) -> tuple[np.ndar
     meter = np.outer(mu, mu.conj())
     # kron(term, meter) for each signal term, as one broadcast product: np.kron's multiply
     rho = (_SIGNAL_TERMS[:, :, None, :, None] * meter[None, None, :, None, :]).reshape(3, 4, 4)
-    if gate_model.kind == "ideal":
-        out = rho * _CZ_SIGNS
-    else:
-        sup = _gate_map(gate_model.visibility).superoperator
-        out = (rho.reshape(3, 16) @ sup.T).reshape(3, 4, 4)
+    out = rho * (_CZ_SIGNS if gate_model.kind == "ideal" else _gate_map(gate_model.visibility).multiplier)
     num = np.real(np.einsum("ia,jab,ib->ij", _PROJ.conj(), out, _PROJ))
     return num, np.real(np.trace(out, axis1=1, axis2=2))
 

@@ -18,11 +18,12 @@ two-photon polarization basis (HH, HV, VH, VV), signal-major:
 Indistinguishable photons add the paths coherently, M = M_d + M_x = CZ/3, an
 exact controlled-sign gate heralded with probability 1/9; distinguishable
 photons add them as probabilities, and no conditional phase survives.
+Both paths are diagonal, so the channel is an entrywise product with a real
+4x4 multiplier, rho -> rho * G.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,52 +35,37 @@ _DIRECT_PATH = np.eye(4) / 3.0
 _DIRECT_PATH.setflags(write=False)
 _EXCHANGE_PATH = np.diag([0.0, 0.0, 0.0, -2.0 / 3.0])
 _EXCHANGE_PATH.setflags(write=False)
+# the multiplier's coherent term m m^T and labeled term d d^T + x x^T, with d
+# and x the paths' diagonals and m = d + x
+_d, _x = np.diag(_DIRECT_PATH), np.diag(_EXCHANGE_PATH)
+_COHERENT, _LABELED = np.outer(_d + _x, _d + _x), np.outer(_d, _d) + np.outer(_x, _x)
+_COHERENT.setflags(write=False)
+_LABELED.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class EffectiveMap:
     """Coincidence-post-selected two-qubit channel at a given visibility.
 
-    The superoperator is 16x16 and acts on row-major vectorized 4x4 density
-    matrices; it is trace-nonincreasing, and the stored success probability
-    is its trace on the maximally mixed input, (2 - visibility) / 9 (for
-    visibility 1 the success probability is input-independent and equals 1/9).
+    The channel maps a 4x4 density matrix rho to ``rho * multiplier``, entry
+    by entry; the multiplier is real and read-only. The channel is
+    trace-nonincreasing, and the stored success probability is its trace on
+    the maximally mixed input, (2 - visibility) / 9 (for visibility 1 the
+    success probability is input-independent and equals 1/9).
     """
 
     visibility: float
-    superoperator: np.ndarray
+    multiplier: np.ndarray
     success_probability: float
 
     def __post_init__(self) -> None:
-        sup = np.asarray(self.superoperator, dtype=complex)
-        if sup.shape != (16, 16):
-            raise ValueError("EffectiveMap superoperator must be 16x16")
-        sup.setflags(write=False)
-        object.__setattr__(self, "superoperator", sup)
+        mult = np.asarray(self.multiplier, dtype=float)
+        if mult.shape != (4, 4):
+            raise ValueError("EffectiveMap multiplier must be 4x4")
+        mult.setflags(write=False)
+        object.__setattr__(self, "multiplier", mult)
         if not 0.0 < self.success_probability <= 1.0:
             raise ValueError("success probability must lie in (0, 1]")
-
-
-def _kraus_to_superoperator(kraus: list[np.ndarray]) -> np.ndarray:
-    # row-major vec: vec(K rho K+) = (K kron conj(K)) vec(rho); the broadcast
-    # product is np.kron's elementwise multiply
-    sup = np.zeros((16, 16), dtype=complex)
-    for k in kraus:
-        sup += (k[:, None, :, None] * k.conj()[None, :, None, :]).reshape(16, 16)
-    return sup
-
-
-@functools.cache
-def _channel_terms() -> tuple[np.ndarray, np.ndarray]:
-    """The visibility-independent superoperators (coherent, labeled) of the gate.
-
-    Built on first use, not at import, and read-only: every map shares them.
-    """
-    coherent = _kraus_to_superoperator([_DIRECT_PATH + _EXCHANGE_PATH])
-    labeled = _kraus_to_superoperator([_DIRECT_PATH, _EXCHANGE_PATH])
-    for sup in (coherent, labeled):
-        sup.setflags(write=False)
-    return coherent, labeled
 
 
 def effective_map(visibility: float) -> EffectiveMap:
@@ -92,15 +78,15 @@ def effective_map(visibility: float) -> EffectiveMap:
 
         E(rho) = xi * M rho M+  +  (1 - xi) * (Md rho Md+ + Mx rho Mx+)
 
-    with Md, Mx the direct and exchange path operators and M = Md + Mx.
+    with Md, Mx the direct and exchange path operators and M = Md + Mx. All
+    three are diagonal, so E(rho) = rho * multiplier entry by entry.
     Consumers renormalize the output by its trace (the per-input success
     probability). Raises ValueError unless visibility is a real number in
     [0, 1].
     """
     visibility = _require_real(visibility, "visibility", 0, 1)
-    coherent, labeled = _channel_terms()
-    sup = visibility * coherent + (1.0 - visibility) * labeled
-    return EffectiveMap(visibility=visibility, superoperator=sup, success_probability=(2.0 - visibility) / 9.0)
+    multiplier = visibility * _COHERENT + (1.0 - visibility) * _LABELED
+    return EffectiveMap(visibility=visibility, multiplier=multiplier, success_probability=(2.0 - visibility) / 9.0)
 
 
 def process_fidelity_to_cz(emap: EffectiveMap) -> float:

@@ -339,13 +339,6 @@ def test_cli_import_leaves_process_pools_unloaded():
     assert _loaded_by_cli_import(["multiprocessing", "concurrent.futures"]) == "[]"
 
 
-def test_cli_import_leaves_the_gate_channel_unbuilt():
-    # the PPBS channel terms are built on first use, so the import and parser
-    # build every invocation pays gain no work
-    probe = "from lgi_weaksim import optics; lgi_weaksim.cli.build_parser(); print(optics._channel_terms.cache_info())"
-    assert "currsize=0" in _after_cli_import(probe)
-
-
 def test_cli_import_and_parser_leave_qcore_and_stats_unloaded():
     # no command loads qcore, and only mc samples, so only mc pays for the sampler
     probe = ("lgi_weaksim.cli.build_parser(); "

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import oracles
 from lgi_weaksim import experiment, qcore, stats
 from lgi_weaksim.errors import DegenerateConditioningError, ZeroStrengthError
+from test_solvers_batched import reference_effective_map
 
 K_STRONG = 0.5445
 K_WEAK = 0.1598
@@ -50,7 +51,7 @@ def reference_probabilities(theta, meter, gate_model):
     if gate_model.kind == "ideal":
         state = qcore.apply_cz(joint)
     else:
-        emap = experiment._gate_map(gate_model.visibility)
+        emap = reference_effective_map(gate_model.visibility)
         rho = np.outer(joint.amplitudes, joint.amplitudes.conj())
         rho_out = (emap.superoperator @ rho.reshape(16)).reshape(4, 4)
         success = float(np.real(np.trace(rho_out)))
@@ -127,6 +128,36 @@ def test_engine_rows_do_not_depend_on_batch_size(gate):
             rows = experiment._probability_matrix(angles[:batch], knowledge, gate)
             # bytes, so that the sign of a zero counts too
             assert rows.tobytes() == singles[:batch].tobytes(), (knowledge, batch)
+
+
+def frozen_ppbs_rows(thetas, knowledge, visibility):
+    """The engine's PPBS rows as they were made through the 16x16 superoperator.
+
+    One zgemm of the density rows with the map, then a complex division by
+    the trace, then the Hermitian symmetrization, then the readout.
+    """
+    psi = experiment._joint_kets(thetas, knowledge, experiment.GateModel(kind="ppbs", visibility=visibility))
+    sup = reference_effective_map(visibility).superoperator
+    rho = ((psi[:, :, None] * psi[:, None, :].conj()).reshape(-1, 16) @ sup.T).reshape(-1, 4, 4)
+    rho /= np.real(np.trace(rho, axis1=1, axis2=2))[:, None, None]
+    rho = np.add(rho, rho.swapaxes(1, 2).conj(), order="C")
+    rho *= 0.5
+    vecs = (rho.reshape(-1, 4) @ experiment._KETS).reshape(4, -1, 4, 1)
+    return np.clip(np.real(experiment._BRAS @ vecs).reshape(4, -1).T, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("visibility", [0.0, 2.0**-24, 0.37, 1.0])
+def test_ppbs_rows_equal_the_superoperator_path_byte_for_byte(visibility):
+    # np.array_equal ignores the sign of a zero, which a CSV cell can print as -0
+    gate = experiment.GateModel(kind="ppbs", visibility=visibility)
+    angles = np.random.default_rng(19).uniform(-60.0, 60.0, max(BLOCK_EDGE_BATCHES))
+    # angles where cos or sin of theta / 2 is 0, or one round-off from it, lead every batch
+    angles[:8] = [0.0, -0.0, math.pi / 2.0, math.pi, 1.5 * math.pi, TWO_PI, 1.75 * math.pi, -math.pi]
+    for knowledge in (1e-9, K_WEAK, K_STRONG, 1.0 - 1e-8, 1.0):
+        for batch in BLOCK_EDGE_BATCHES:
+            rows = experiment._probability_matrix(angles[:batch], knowledge, gate)
+            expected = frozen_ppbs_rows(angles[:batch], knowledge, visibility)
+            assert rows.tobytes() == expected.tobytes(), (knowledge, batch)
 
 
 @given(thetas, strengths)

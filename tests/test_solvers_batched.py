@@ -2,16 +2,18 @@
 
 `fig3` prints each violation interval's endpoints with nine significant
 digits, and `gate` prints the map's success probability and process
-fidelity, so the predicted-path bisection, the cached channel terms and the
-reshuffled Choi matrix must reproduce the sequential code exactly. The
-references below are the bodies the package had before: a bisection with one
-engine call per step, a grid walk that evaluates one angle at a time, a map
-that rebuilds the network from per-PPBS transmissions and its Kraus sums with
-np.kron and a permanent block, a Choi matrix summed from 16 map
-applications, and the closed form's prepared-state terms built with np.kron.
+fidelity, so the predicted-path bisection, the entrywise channel multiplier
+and the closed-form success and fidelity must reproduce the sequential code
+exactly. The references below are the bodies the package had before: a
+bisection with one engine call per step, a grid walk that evaluates one angle
+at a time, a map that rebuilds the network from per-PPBS transmissions and
+its Kraus sums into a 16x16 superoperator with np.kron and a permanent
+block, a Choi matrix summed from 16 map applications, and the closed form's
+prepared-state terms built with np.kron.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -162,6 +164,10 @@ def reference_labeled_path_operators(network):
     return direct, exchange
 
 
+# the map as the package held it before: a 16x16 superoperator on row-major vectorized density matrices
+ReferenceMap = namedtuple("ReferenceMap", "visibility superoperator success_probability")
+
+
 def reference_effective_map(visibility):
     """The map with the network and both Kraus sums rebuilt on every call."""
     network = reference_network()
@@ -171,7 +177,7 @@ def reference_effective_map(visibility):
         reference_kraus_to_superoperator([direct, exchange])
     )
     mixed_success = float(np.real(np.trace((sup @ (np.eye(4) / 4.0).reshape(16)).reshape(4, 4))))
-    return optics.EffectiveMap(visibility=visibility, superoperator=sup, success_probability=mixed_success)
+    return ReferenceMap(visibility=visibility, superoperator=sup, success_probability=mixed_success)
 
 
 def reference_choi_matrix(emap):
@@ -294,12 +300,18 @@ def test_closed_form_b_is_within_the_search_margin_of_the_engine():
                 assert error <= experiment._DECIDE_MARGIN / (16.0 * knowledge), (knowledge, gate, mb_sign, error)
 
 
+def reference_multiplier(sup):
+    """The entrywise multiplier a diagonal superoperator applies: entry (a, b) is sup[4a + b, 4a + b]."""
+    assert not np.any(sup - np.diag(np.diag(sup)))     # no off-diagonal entry, not even a round-off one
+    return np.diag(sup).real.reshape(4, 4)
+
+
 def test_cached_gate_channel_equals_rebuilt_map():
     edges = [0.0, 1.0, 0.5, 1e-300, 1.0 - 2.0**-53]
     visibilities = np.concatenate([edges, np.random.default_rng(7).uniform(size=1000)])
     for xi in visibilities.tolist():
         emap, expected = optics.effective_map(xi), reference_effective_map(xi)
-        assert emap.superoperator.tobytes() == expected.superoperator.tobytes(), xi
+        assert emap.multiplier.tobytes() == reference_multiplier(expected.superoperator).tobytes(), xi
         fidelity = optics.process_fidelity_to_cz(emap)
         assert emap.success_probability == oracles.ppbs_success_mixed(xi), xi
         assert fidelity == oracles.process_fidelity_closed(xi), xi
@@ -315,7 +327,7 @@ def reference_trig_coefficients(knowledge, gate_model):
     if gate_model.kind == "ideal":
         out = rho * experiment._CZ_SIGNS
     else:
-        sup = experiment._gate_map(gate_model.visibility).superoperator
+        sup = reference_effective_map(gate_model.visibility).superoperator
         out = (rho.reshape(3, 16) @ sup.T).reshape(3, 4, 4)
     num = np.real(np.einsum("ia,jab,ib->ij", experiment._PROJ.conj(), out, experiment._PROJ))
     return num, np.real(np.trace(out, axis1=1, axis2=2))
@@ -335,12 +347,13 @@ def test_trig_coefficients_equal_kron_form():
 def test_network_and_channel_terms_equal_the_per_ppbs_builder():
     network = reference_network()
     direct, exchange = reference_labeled_path_operators(network)
-    coherent, labeled = optics._channel_terms()
-    assert coherent.tobytes() == reference_kraus_to_superoperator([reference_coincidence_block(network)]).tobytes()
-    assert labeled.tobytes() == reference_kraus_to_superoperator([direct, exchange]).tobytes()
+    coherent = reference_multiplier(reference_kraus_to_superoperator([reference_coincidence_block(network)]))
+    labeled = reference_multiplier(reference_kraus_to_superoperator([direct, exchange]))
+    assert optics._COHERENT.tobytes() == coherent.tobytes()
+    assert optics._LABELED.tobytes() == labeled.tobytes()
 
 
 def test_cached_channel_terms_are_read_only():
-    # every map shares them, so no caller may write into them
-    for sup in optics._channel_terms():
-        assert not sup.flags.writeable
+    # every map shares the terms, and the cache shares each map, so no caller may write into them
+    for term in (optics._COHERENT, optics._LABELED, experiment._gate_map(0.37).multiplier):
+        assert not term.flags.writeable
