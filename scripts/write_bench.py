@@ -19,6 +19,12 @@ The file holds three things:
   bytecode was cached before this script imported it, the host's CPU count
   and the git commit, so that a number can be told apart from the machine
   it came from.
+
+Each entry is timed in one run, so two BENCH files compare runs made at
+different host loads: back to back, entries that a change does not touch
+have read 3 % to 9 % apart. A before/after number for one layer must
+instead come from the parent and the change sampled alternately in one
+process.
 """
 
 import argparse
@@ -140,7 +146,7 @@ def perfbench() -> dict:
 
 
 def openblas_core() -> str:
-    """OpenBLAS's kernel name, read through ctypes as the CI workflow does; "unknown" if unreadable."""
+    """OpenBLAS's kernel name, read through ctypes; "unknown" if unreadable. The CI workflow prints it too."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in glob.glob(os.path.join(libs, "*openblas*.so")):
         lib = ctypes.CDLL(path)

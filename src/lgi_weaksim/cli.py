@@ -35,8 +35,6 @@ MANIFEST_HEADER = "# lgi-weaksim manifest v1"
 
 # K used by the gate subcommand's correlator ceiling column.
 GATE_REFERENCE_K = 0.5445
-# mc holds an (n_trials, 4) float count matrix: 32 MB at this bound.
-MAX_TRIALS = 1_000_000
 
 _TWO_PI = 2.0 * math.pi
 
@@ -193,6 +191,12 @@ def _pairs(n_pairs: int) -> int:
     return stats._require_pairs(n_pairs)
 
 
+def _trials(n_trials: int) -> int:
+    from . import stats  # only mc takes --trials, and mc loads stats anyway
+
+    return _require_count(n_trials, "trials", 1, stats.MAX_TRIALS)
+
+
 def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     try:
         gate_model = experiment.GateModel(kind=args.gate, visibility=args.visibility)
@@ -248,13 +252,13 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
 
 
 def _cmd_gate(args: argparse.Namespace) -> int:
-    emap = experiment._gate_map(args.visibility)
-    fidelity = optics.process_fidelity_to_cz(emap)
+    success = optics.success_probability(args.visibility)
+    fidelity = optics.process_fidelity_to_cz(args.visibility)
     _, b_star = experiment.b_max(
         GATE_REFERENCE_K, experiment.GateModel(kind="ppbs", visibility=args.visibility)
     )
     header = ("visibility", "success_probability", "process_fidelity", "b_max")
-    rows = ["%.9g,%.9g,%.9g,%.9g" % (args.visibility, emap.success_probability, fidelity, b_star)]
+    rows = ["%.9g,%.9g,%.9g,%.9g" % (args.visibility, success, fidelity, b_star)]
     _emit_csv(args.out, _manifest(args, k=GATE_REFERENCE_K), header, rows, quiet=args.quiet)
     return 0
 
@@ -352,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--theta", type=_flag_type(float, _require_real, "theta"), required=True,
                     help="preparation angle in radians")
     mc.add_argument("--pairs", type=_flag_type(int, _pairs), default=100_000, help="photon pairs per trial")
-    mc.add_argument("--trials", type=_flag_type(int, _require_count, "trials", 1, MAX_TRIALS), default=300,
+    mc.add_argument("--trials", type=_flag_type(int, _trials), default=300,
                     help="number of trials")
     mc.add_argument("--out", required=True, help="output CSV path")
     mc.set_defaults(handler=_cmd_mc)

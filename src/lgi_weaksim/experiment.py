@@ -178,7 +178,7 @@ def _require_sign(mb_sign: int) -> int:
 
 
 @lru_cache(maxsize=16)
-def _gate_map(visibility: float) -> optics.EffectiveMap:
+def _gate_map(visibility: float) -> np.ndarray:
     return optics.effective_map(visibility)
 
 
@@ -222,7 +222,7 @@ def _probability_matrix(thetas: np.ndarray, knowledge: float, gate_model: GateMo
     one-state-at-a-time object path gives for that angle and strength K (the
     tensor product of the signal and meter kets, then the sign flip or the
     gate map, then the joint projective measurement). The gate map is an
-    entrywise product with the map's real 4x4 multiplier, with no BLAS call,
+    entrywise product with its real 4x4 multiplier, with no BLAS call,
     and its output is Hermitian as it stands. The readout's complex products
     are made by the BLAS routine that path uses, over every state at once:
 
@@ -243,7 +243,7 @@ def _probability_matrix(thetas: np.ndarray, knowledge: float, gate_model: GateMo
         amps = _BRAS @ psi[:, :, None]
         # |amplitude|^2 is never below +0, so only the upper bound of [0, 1] can bind
         return np.minimum(np.real(amps * amps.conj()).reshape(4, -1).T, 1.0)
-    rho = psi[:, :, None] * psi[:, None, :].conj() * _gate_map(gate_model.visibility).multiplier
+    rho = psi[:, :, None] * psi[:, None, :].conj() * _gate_map(gate_model.visibility)
     # the values of rho /= trace: numpy divides by a complex number with zero
     # imaginary part by multiplying by its reciprocal
     rho *= (1.0 / _real_trace(rho))[:, None, None]
@@ -262,7 +262,7 @@ def _trig_coefficients(knowledge: float, gate_model: GateModel) -> tuple[np.ndar
     meter = np.outer(mu, mu.conj())
     # kron(term, meter) for each signal term, as one broadcast product: np.kron's multiply
     rho = (_SIGNAL_TERMS[:, :, None, :, None] * meter[None, None, :, None, :]).reshape(3, 4, 4)
-    out = rho * (_CZ_SIGNS if gate_model.kind == "ideal" else _gate_map(gate_model.visibility).multiplier)
+    out = rho * (_CZ_SIGNS if gate_model.kind == "ideal" else _gate_map(gate_model.visibility))
     num = np.real(np.einsum("ia,jab,ib->ij", _PROJ.conj(), out, _PROJ))
     return num, np.real(np.trace(out, axis1=1, axis2=2))
 

@@ -24,8 +24,6 @@ Both paths are diagonal, so the channel is an entrywise product with a real
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import UnreachableTargetError, _require_real
@@ -43,33 +41,8 @@ _COHERENT.setflags(write=False)
 _LABELED.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class EffectiveMap:
-    """Coincidence-post-selected two-qubit channel at a given visibility.
-
-    The channel maps a 4x4 density matrix rho to ``rho * multiplier``, entry
-    by entry; the multiplier is real and read-only. The channel is
-    trace-nonincreasing, and the stored success probability is its trace on
-    the maximally mixed input, (2 - visibility) / 9 (for visibility 1 the
-    success probability is input-independent and equals 1/9).
-    """
-
-    visibility: float
-    multiplier: np.ndarray
-    success_probability: float
-
-    def __post_init__(self) -> None:
-        mult = np.asarray(self.multiplier, dtype=float)
-        if mult.shape != (4, 4):
-            raise ValueError("EffectiveMap multiplier must be 4x4")
-        mult.setflags(write=False)
-        object.__setattr__(self, "multiplier", mult)
-        if not 0.0 < self.success_probability <= 1.0:
-            raise ValueError("success probability must lie in (0, 1]")
-
-
-def effective_map(visibility: float) -> EffectiveMap:
-    """Coincidence-post-selected gate channel at a given photon visibility.
+def effective_map(visibility: float) -> np.ndarray:
+    """The coincidence-post-selected gate channel's multiplier at a photon visibility.
 
     ``visibility`` interpolates between fully interfering photons (1, an
     exact controlled-sign gate) and fully distinguishable photons (0, where
@@ -79,24 +52,36 @@ def effective_map(visibility: float) -> EffectiveMap:
         E(rho) = xi * M rho M+  +  (1 - xi) * (Md rho Md+ + Mx rho Mx+)
 
     with Md, Mx the direct and exchange path operators and M = Md + Mx. All
-    three are diagonal, so E(rho) = rho * multiplier entry by entry.
-    Consumers renormalize the output by its trace (the per-input success
-    probability). Raises ValueError unless visibility is a real number in
-    [0, 1].
+    three are diagonal, so E(rho) = rho * G entry by entry, and this returns
+    the real, read-only 4x4 multiplier G = xi C + (1 - xi) L. The channel is
+    trace-nonincreasing; consumers renormalize the output by its trace (the
+    per-input success probability). Raises ValueError unless visibility is a
+    real number in [0, 1].
     """
     visibility = _require_real(visibility, "visibility", 0, 1)
     multiplier = visibility * _COHERENT + (1.0 - visibility) * _LABELED
-    return EffectiveMap(visibility=visibility, multiplier=multiplier, success_probability=(2.0 - visibility) / 9.0)
+    multiplier.setflags(write=False)
+    return multiplier
 
 
-def process_fidelity_to_cz(emap: EffectiveMap) -> float:
+def success_probability(visibility: float) -> float:
+    """The channel's heralding probability on the maximally mixed input, (2 - visibility) / 9.
+
+    At visibility 1 every input succeeds with probability 1/9. Raises
+    ValueError unless visibility is a real number in [0, 1].
+    """
+    return (2.0 - _require_real(visibility, "visibility", 0, 1)) / 9.0
+
+
+def process_fidelity_to_cz(visibility: float) -> float:
     """Process fidelity between the trace-normalized channel and the ideal CZ.
 
     On CZ's normalized Choi vector the coherent term has weight 4/9 and the
     labeled term 2/9 (1/9 per path); the Choi matrix's trace is 4 (2 - xi) / 9,
-    four times the mixed-input success.
+    four times the mixed-input success. Raises ValueError unless visibility
+    is a real number in [0, 1].
     """
-    xi = emap.visibility
+    xi = _require_real(visibility, "visibility", 0, 1)
     return (1.0 + xi) / (2.0 * (2.0 - xi))
 
 

@@ -20,9 +20,9 @@ from .errors import InsufficientPostselectionError, UndefinedSignificanceError, 
 COVERAGE_Z = 1.96
 # The estimators hold counts as float64, which is exact only up to 2**53.
 MAX_PAIRS = 2**53
-# Seeding hashes each trial index as one uint32 word (a count matrix this
-# large would take 128 GiB anyway).
-MAX_TRIALS = 2**32
+# run_trials holds an (n_trials, 4) float count matrix: 32 MB at this bound.
+# Seeding hashes each trial index as one uint32 word, which this bound keeps.
+MAX_TRIALS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class TrialPlan:
     """Monte Carlo schedule: pairs per trial, trial count, master seed.
 
     Raises ValueError unless each is an integer, 1 <= n_pairs <= 2**53,
-    1 <= n_trials <= 2**32 and master_seed >= 0.
+    1 <= n_trials <= 10**6 and master_seed >= 0.
     """
 
     n_pairs: int

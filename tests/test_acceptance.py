@@ -203,7 +203,7 @@ def test_criterion_7_perfect_interference_reproduces_ideal_gate():
             theta, experiment.ExperimentConfig(theta=theta, knowledge=K_STRONG, gate_model=ppbs)
         )
         worst = max(worst, max(abs(a - b) for a, b in zip(ideal_row, ppbs_row)))
-    success = optics.effective_map(1.0).success_probability
+    success = optics.success_probability(1.0)
     elapsed = time.perf_counter() - start
 
     checks = [

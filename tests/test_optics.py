@@ -83,38 +83,36 @@ def test_effective_map_rejects_out_of_range_visibility():
 
 
 def test_success_probability_across_visibility():
-    assert optics.effective_map(1.0).success_probability == pytest.approx(1.0 / 9.0, abs=1e-12)
+    assert optics.success_probability(1.0) == pytest.approx(1.0 / 9.0, abs=1e-12)
     for xi in XI_GRID:
-        success = optics.effective_map(xi).success_probability
+        success = optics.success_probability(xi)
         assert 0.0 < success <= 1.0
         assert success == pytest.approx(oracles.ppbs_success_mixed(xi), abs=1e-12)
 
 
-def apply(emap, rho):
-    """The channel on one density matrix: an entrywise product with the map's multiplier."""
-    return rho * emap.multiplier
+def apply(multiplier, rho):
+    """The channel on one density matrix: an entrywise product with its multiplier."""
+    return rho * multiplier
 
 
 def test_choi_matrix_is_positive_semidefinite():
     for xi in XI_GRID:
-        emap = optics.effective_map(xi)
-        choi = sum(np.kron(apply(emap, basis), basis)
+        multiplier = optics.effective_map(xi)
+        choi = sum(np.kron(apply(multiplier, basis), basis)
                    for basis in np.eye(16, dtype=complex).reshape(16, 4, 4))
         eigenvalues = np.linalg.eigvalsh(choi)
         assert eigenvalues.min() >= -1e-10
         # trace of the Choi matrix is 4x the maximally-mixed success probability
-        assert np.trace(choi).real / 4.0 == pytest.approx(
-            optics.effective_map(xi).success_probability, abs=1e-12
-        )
+        assert np.trace(choi).real / 4.0 == pytest.approx(optics.success_probability(xi), abs=1e-12)
 
 
 def test_map_is_trace_nonincreasing_and_renormalizable():
     rng = np.random.default_rng(7)
     for xi in XI_GRID:
-        emap = optics.effective_map(xi)
+        multiplier = optics.effective_map(xi)
         for _ in range(20):
             rho = random_density(rng)
-            out = apply(emap, rho)
+            out = apply(multiplier, rho)
             trace = np.trace(out).real
             assert 0.0 < trace <= 1.0 + 1e-12
             renormalized = out / trace
@@ -124,22 +122,22 @@ def test_map_is_trace_nonincreasing_and_renormalizable():
 
 
 def test_full_visibility_map_conjugates_like_cz_on_pauli_basis():
-    emap = optics.effective_map(1.0)
+    multiplier = optics.effective_map(1.0)
     cz = np.diag([1.0, 1.0, 1.0, -1.0])
     paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
               np.diag([1.0, -1.0])]
     for left in paulis:
         for right in paulis:
             operator = np.kron(left, right).astype(complex)
-            out = apply(emap, operator) * 9.0
+            out = apply(multiplier, operator) * 9.0
             np.testing.assert_allclose(out, cz @ operator @ cz, atol=1e-12)
 
 
 def test_zero_visibility_map_preserves_vv_without_phase():
-    emap0 = optics.effective_map(0.0)
+    multiplier0 = optics.effective_map(0.0)
     vv = np.zeros((4, 4), dtype=complex)
     vv[3, 3] = 1.0
-    out = apply(emap0, vv)
+    out = apply(multiplier0, vv)
     out = out / np.trace(out).real
     np.testing.assert_allclose(out, vv, atol=1e-12)
 
@@ -154,9 +152,9 @@ def test_zero_visibility_map_preserves_vv_without_phase():
 @given(visibilities)
 @settings(deadline=None)
 def test_multiplier_is_convex_in_visibility(xi):
-    blended = optics.effective_map(xi).multiplier
-    coherent = optics.effective_map(1.0).multiplier
-    labeled = optics.effective_map(0.0).multiplier
+    blended = optics.effective_map(xi)
+    coherent = optics.effective_map(1.0)
+    labeled = optics.effective_map(0.0)
     np.testing.assert_allclose(blended, xi * coherent + (1.0 - xi) * labeled, atol=1e-14)
 
 
@@ -170,15 +168,24 @@ def test_map_agrees_with_dense_conjugation_oracle(theta, knowledge, xi):
     np.testing.assert_allclose(out, expected, atol=1e-14)
 
 
-@pytest.mark.parametrize("visibility", ["0.5", None, 1.0 + 0j, math.nan, 1.5, math.inf, -math.inf, 10**400])
-def test_effective_map_rejects_a_visibility_that_is_not_a_real_in_the_unit_interval(visibility):
+NOT_VISIBILITIES = ["0.5", None, 1.0 + 0j, math.nan, 1.5, math.inf, -math.inf, 10**400]
+
+
+@pytest.mark.parametrize("function, visibility", [
+    # effective_map's cases keep their bare ids; the closed forms' are prefixed
+    pytest.param(function, visibility, id=("" if function is optics.effective_map else f"{function.__name__}-")
+                 + str(visibility))
+    for function in (optics.effective_map, optics.success_probability, optics.process_fidelity_to_cz)
+    for visibility in NOT_VISIBILITIES
+])
+def test_effective_map_rejects_a_visibility_that_is_not_a_real_in_the_unit_interval(function, visibility):
     # the same check as GateModel's; a string used to leak a TypeError
     with pytest.raises(ValueError, match=r"visibility must be a finite real number in \[0, 1\]"):
-        optics.effective_map(visibility)
+        function(visibility)
 
 
 def test_process_fidelity_endpoints_and_monotonicity():
-    values = [optics.process_fidelity_to_cz(optics.effective_map(xi)) for xi in XI_GRID]
+    values = [optics.process_fidelity_to_cz(xi) for xi in XI_GRID]
     assert values[-1] == pytest.approx(1.0, abs=1e-12)
     assert values[0] == pytest.approx(0.25, abs=1e-12)
     for xi, value in zip(XI_GRID, values):

@@ -1,7 +1,7 @@
 """The batched interval search and the cached gate channel against frozen copies of the old code, bit for bit.
 
 `fig3` prints each violation interval's endpoints with nine significant
-digits, and `gate` prints the map's success probability and process
+digits, and `gate` prints the gate's success probability and process
 fidelity, so the predicted-path bisection, the entrywise channel multiplier
 and the closed-form success and fidelity must reproduce the sequential code
 exactly. The references below are the bodies the package had before: a
@@ -310,13 +310,13 @@ def test_cached_gate_channel_equals_rebuilt_map():
     edges = [0.0, 1.0, 0.5, 1e-300, 1.0 - 2.0**-53]
     visibilities = np.concatenate([edges, np.random.default_rng(7).uniform(size=1000)])
     for xi in visibilities.tolist():
-        emap, expected = optics.effective_map(xi), reference_effective_map(xi)
-        assert emap.multiplier.tobytes() == reference_multiplier(expected.superoperator).tobytes(), xi
-        fidelity = optics.process_fidelity_to_cz(emap)
-        assert emap.success_probability == oracles.ppbs_success_mixed(xi), xi
+        expected = reference_effective_map(xi)
+        assert optics.effective_map(xi).tobytes() == reference_multiplier(expected.superoperator).tobytes(), xi
+        success, fidelity = optics.success_probability(xi), optics.process_fidelity_to_cz(xi)
+        assert success == oracles.ppbs_success_mixed(xi), xi
         assert fidelity == oracles.process_fidelity_closed(xi), xi
         # the closed forms differ from the rebuilt map's sums in the last bit, never in a CSV cell
-        assert "%.9g" % emap.success_probability == "%.9g" % expected.success_probability, xi
+        assert "%.9g" % success == "%.9g" % expected.success_probability, xi
         assert "%.9g" % fidelity == "%.9g" % reference_process_fidelity(expected), xi
 
 
@@ -355,5 +355,5 @@ def test_network_and_channel_terms_equal_the_per_ppbs_builder():
 
 def test_cached_channel_terms_are_read_only():
     # every map shares the terms, and the cache shares each map, so no caller may write into them
-    for term in (optics._COHERENT, optics._LABELED, experiment._gate_map(0.37).multiplier):
+    for term in (optics._COHERENT, optics._LABELED, experiment._gate_map(0.37)):
         assert not term.flags.writeable

@@ -135,9 +135,12 @@ NOT_INTEGERS = {"1": "str", None: "none", 1j: "complex", math.nan: "nan", math.i
     lambda: stats.TrialPlan(n_pairs=10**400, n_trials=3),
     lambda: stats.TrialPlan(n_pairs=1000, n_trials=10**400),
     lambda: stats.CountTable(10**400, 1, 1, 1),
+    # one past stats.MAX_TRIALS, written out so that a looser bound fails here:
+    # run_trials would fill a count matrix of 32 bytes per trial
+    lambda: stats.TrialPlan(n_pairs=1000, n_trials=1_000_001),
 ], ids=["n_trials", "n_pairs", "master_seed", "grid_steps", "count_nan", "count_half"]
     + [f"{name}_{kind}" for name in COUNT_PARAMETERS for kind in NOT_INTEGERS.values()]
-    + ["n_pairs_huge_int", "n_trials_huge_int", "count_huge_int"])
+    + ["n_pairs_huge_int", "n_trials_huge_int", "count_huge_int", "n_trials_above_bound"])
 def test_counts_that_are_not_integers_are_rejected(run):
     with pytest.raises(ValueError, match="must be an integer"):
         run()

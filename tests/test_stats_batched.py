@@ -147,6 +147,8 @@ def test_trial_plan_rejects_pairs_beyond_exact_float_counts():
 
 
 def test_trial_plan_rejects_trial_indices_beyond_one_seed_word():
-    stats.TrialPlan(n_pairs=1, n_trials=2**32)
+    # the trial bound keeps every index inside the one uint32 word it is hashed as
+    assert stats.MAX_TRIALS < 2**32
+    stats.TrialPlan(n_pairs=1, n_trials=stats.MAX_TRIALS)
     with pytest.raises(ValueError, match="n_trials"):
         stats.TrialPlan(n_pairs=1, n_trials=2**32 + 1)
