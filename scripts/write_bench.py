@@ -80,6 +80,8 @@ def layer_calls() -> dict:
     angles = np.linspace(0.0, 2.0 * math.pi, 4096)
     target = experiment.b_max(STRENGTHS[0], ppbs)[1]
     plan = stats.TrialPlan(n_pairs=100_000, n_trials=300)
+    # cli.mc.10000_trials without the CLI's row formatting and file write
+    scaled_plan = stats.TrialPlan(n_pairs=100_000, n_trials=10_000)
     config = experiment.ExperimentConfig(theta=7.0 * math.pi / 4.0, knowledge=STRENGTHS[0])
     return {
         "engine.ideal.4096_angles": (lambda: experiment._probability_matrix(angles, STRENGTHS[0], ideal), 1),
@@ -91,6 +93,7 @@ def layer_calls() -> dict:
         "experiment.violation_interval.ppbs": per_setting(experiment.violation_interval, ppbs),
         "optics.fit_visibility": (lambda: optics.fit_visibility(target, STRENGTHS[0]), 1),
         "stats.run_trials.300x1e5": (lambda: stats.run_trials(plan, config), 1),
+        "stats.run_trials.10000x1e5": (lambda: stats.run_trials(scaled_plan, config), 1),
     }
 
 

@@ -275,7 +275,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     b_sig = stats._significances(summary.b, summary.b_sigma, bound=1.0)
     columns = (summary.b, summary.b_sigma, b_sig, summary.wv, summary.wv_sigma)
     row_format = "%d," + ",".join(["%.9g"] * len(columns))
-    rows = [row_format % (index, *row) for index, row in enumerate(zip(*(c.tolist() for c in columns)))]
+    rows = list(map(row_format.__mod__, zip(range(plan.n_trials), *(c.tolist() for c in columns))))
     trailer = [
         f"# summary true_b={_format_real(summary.true_b)}",
         f"# summary mean_b={_format_real(summary.mean_b)}",
@@ -338,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated strengths")
     fig3.add_argument("--theta-steps", type=steps, default=256, help="grid points on [0, 2pi]")
     fig3.add_argument("--mb-sign", type=sign, metavar="{+,-}", default="+", help="sign convention for Mb")
-    fig3.add_argument("--degrees", action="store_true", help="report angles in degrees")
+    fig3.add_argument("--degrees", action="store_true",
+                      help="report the theta column in degrees; violation_interval comments stay in radians")
     fig3.add_argument("--out", required=True, help="output CSV path")
     fig3.set_defaults(handler=_cmd_fig3)
 

@@ -195,17 +195,19 @@ def _draw_counts(states: np.ndarray, n_pairs: int, probs: np.ndarray) -> np.ndar
     from numpy.random.bit_generator import ISeedSequence
 
     class SeedWords(ISeedSequence):
-        """Hands one row to PCG64, whose seeding step asks for 4 uint64 words."""
-
-        def __init__(self, words: np.ndarray) -> None:
-            self.words = words
+        """Hands the row in ``words`` to PCG64, whose seeding step asks for 4 uint64 words."""
 
         def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
             return self.words
 
+    # one seed object per call, handed each row in turn: PCG64 copies the
+    # words out while it is built, so no row outlives its own trial
+    seed = SeedWords()
+    generator, pcg64 = np.random.Generator, np.random.PCG64
     counts = np.empty((len(states), 4))
     for index, words in enumerate(states):
-        counts[index] = np.random.Generator(np.random.PCG64(SeedWords(words))).multinomial(n_pairs, probs)
+        seed.words = words
+        counts[index] = generator(pcg64(seed)).multinomial(n_pairs, probs)
     return counts
 
 

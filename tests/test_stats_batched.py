@@ -63,6 +63,24 @@ def test_count_matrix_rows_equal_per_trial_draws(master_seed, n_trials):
             assert matrix[index].tolist() == [counts.n_dd, counts.n_da, counts.n_ad, counts.n_aa]
 
 
+def test_back_to_back_ensembles_carry_no_row_over():
+    # one seed object serves every trial of a call; a row left in it must not
+    # reach the next trial, nor the next call in the same process
+    table = experiment.run(experiment.ExperimentConfig(theta=5.5, knowledge=0.1598))
+    probs = table.as_array()
+    n_pairs = 1000
+    matrices = []
+    for master_seed, n_trials in ((3, 7), (2**40 + 1, 4), (3, 5)):
+        plan = stats.TrialPlan(n_pairs=n_pairs, n_trials=n_trials, master_seed=master_seed)
+        matrix = stats._sample_trials(table, plan)
+        expected = [np.random.default_rng([master_seed, index]).multinomial(n_pairs, probs).tolist()
+                    for index in range(n_trials)]
+        assert matrix.tolist() == expected
+        matrices.append(matrix)
+    first, _, again = matrices
+    assert bits(*first[:5].ravel()) == bits(*again.ravel())
+
+
 # master_seed runs to 5 words, so the entropy holds up to 6 words and the
 # words beyond SeedSequence's pool of 4 are mixed in as well
 @given(
