@@ -50,10 +50,10 @@ _SEARCH_GRID = 1024          # coarse grid for violation_interval
 _GRID_SPACING = _TWO_PI / _SEARCH_GRID
 _SEARCH_ANGLES = np.linspace(0.0, _TWO_PI, _SEARCH_GRID, endpoint=False)
 _SEARCH_COS, _SEARCH_SIN = np.cos(_SEARCH_ANGLES), np.sin(_SEARCH_ANGLES)
-_DECIDE_MARGIN = 2.0**10 * math.ulp(1.0)  # / K: over 16 times |closed-form B - engine B|, measured below 8 eps/K
+_DECIDE_MARGIN = 2.0**10 * math.ulp(1.0)  # / K: over 16 times the engine's error from exact B, measured below 10 eps/K
 _REFINE_XTOL = 1e-10         # bisection angular resolution
 _BISECT_RTOL = 4.0 * math.ulp(1.0)      # scipy.optimize.bisect's default rtol, 4 eps
-_PEAK_ROUNDOFF = 16.0 * math.ulp(1.0)   # / K bounds the peak B's round-off, measured below 6 eps/K
+_PEAK_ROUNDOFF = 16.0 * math.ulp(1.0)   # / K bounds the engine's round-off in B at the peak, measured below 6 eps/K
 
 # Each estimator is a contrast over the outcomes (dd, da, ad, aa).
 _S1_SIGN = np.array([+1.0, +1.0, -1.0, -1.0])   # meter D minus meter A
@@ -188,25 +188,18 @@ _A_KET = np.array([_INV_SQRT2, -_INV_SQRT2], dtype=complex)
 _PROJ = np.stack([np.kron(s, m) for m in (_D_KET, _A_KET) for s in (_D_KET, _A_KET)])
 _BRAS = _PROJ.conj()[:, None, None, :]   # (4, 1, 1, 4): one row vector per outcome
 _KETS = _PROJ[:, :, None]                 # (4, 4, 1): one column vector per outcome
-# the signal density matrix is (I + cos(theta) Z + sin(theta) X) / 2
-_SIGNAL_TERMS = 0.5 * np.array([np.eye(2), np.diag([1.0, -1.0]), [[0.0, 1.0], [1.0, 0.0]]])
-_CZ_SIGNS = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
-
-
-def _meter_amplitudes(knowledge: float) -> np.ndarray:
-    # the (H, V) amplitudes of gamma|D> + gamma_bar|A>
-    g, gb = math.sqrt((1.0 + knowledge) / 2.0), math.sqrt((1.0 - knowledge) / 2.0)
-    return np.array([(g + gb) * _INV_SQRT2, (g - gb) * _INV_SQRT2], dtype=complex)
 
 
 def _joint_kets(thetas: np.ndarray, knowledge: float, gate_model: GateModel) -> np.ndarray:
     """The signal-meter kets, one row per angle, with the ideal gate's sign flip of VV."""
     half = np.asarray(thetas, dtype=float) / 2.0
     cos, sin = np.cos(half), np.sin(half)
+    # the meter's (H, V) amplitudes of gamma|D> + gamma_bar|A>
+    g, gb = math.sqrt((1.0 + knowledge) / 2.0), math.sqrt((1.0 - knowledge) / 2.0)
+    mu_h, mu_v = (g + gb) * _INV_SQRT2, (g - gb) * _INV_SQRT2
+    last = -mu_v if gate_model.kind == "ideal" else mu_v
     # the kets are real: each amplitude is one real product, its imaginary part +0
-    mu = _meter_amplitudes(knowledge).real
-    last = -mu[1] if gate_model.kind == "ideal" else mu[1]
-    return np.ascontiguousarray(np.array([cos * mu[0], cos * mu[1], sin * mu[0], sin * last]).T, dtype=complex)
+    return np.ascontiguousarray(np.array([cos * mu_h, cos * mu_v, sin * mu_h, sin * last]).T, dtype=complex)
 
 
 def _real_trace(rho: np.ndarray) -> np.ndarray:
@@ -251,31 +244,26 @@ def _probability_matrix(thetas: np.ndarray, knowledge: float, gate_model: GateMo
     return np.clip(np.real(_BRAS @ vecs).reshape(4, -1).T, 0.0, 1.0)
 
 
-def _trig_coefficients(knowledge: float, gate_model: GateModel) -> tuple[np.ndarray, np.ndarray]:
-    """The joint probabilities as exact ratios of linear forms in x = (1, cos theta, sin theta).
-
-    Returns (num, trace) with p_i(theta) = num[i] @ x / (trace @ x) for the
-    outcomes (dd, da, ad, aa): the prepared state is linear in x, and the
-    gate and the readout are linear maps.
-    """
-    mu = _meter_amplitudes(knowledge)
-    meter = np.outer(mu, mu.conj())
-    # kron(term, meter) for each signal term, as one broadcast product: np.kron's multiply
-    rho = (_SIGNAL_TERMS[:, :, None, :, None] * meter[None, None, :, None, :]).reshape(3, 4, 4)
-    out = rho * (_CZ_SIGNS if gate_model.kind == "ideal" else _gate_map(gate_model.visibility))
-    num = np.real(np.einsum("ia,jab,ib->ij", _PROJ.conj(), out, _PROJ))
-    return num, np.real(np.trace(out, axis1=1, axis2=2))
-
-
 def _contrast(knowledge: float, mb_sign: int) -> np.ndarray:
     """B as a contrast vector over (dd, da, ad, aa): B = coeff @ p."""
     return mb_sign * (_S1_SIGN / knowledge + _PRODUCT_SIGN / knowledge) - _S2_SIGN
 
 
 def _b_ratio(knowledge: float, gate_model: GateModel, mb_sign: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n, d) with B(theta) = n @ x / (d @ x) and x = (1, cos theta, sin theta)."""
-    num, trace = _trig_coefficients(knowledge, gate_model)
-    return _contrast(knowledge, mb_sign) @ num, trace
+    """(n, d) with B(theta) = n @ x / (d @ x) and x = (1, cos theta, sin theta), in closed form.
+
+    At visibility xi (1 for the ideal gate), with v = sqrt(1 - K^2), the
+    K-calibrated moments share the denominator d.x = 1 + u (1 - cos theta),
+    u = (1 - xi)(1 - v), and their numerators are xi cos theta + 1 - xi for
+    <S1>, (1 - xi) sin theta for <S1 S2> and (xi v + 1 - xi) sin theta for
+    <S2>. 1 - v is written K^2 / (1 + v), so nothing is divided by K and the
+    ratio is exact to a few eps at every K.
+    """
+    xi = 1.0 if gate_model.kind == "ideal" else gate_model.visibility
+    v = math.sqrt((1.0 - knowledge) * (1.0 + knowledge))
+    u = (1.0 - xi) * knowledge * knowledge / (1.0 + v)
+    n = mb_sign * np.array([1.0 - xi, xi, 1.0 - xi]) - np.array([0.0, 0.0, xi * v + 1.0 - xi])
+    return n, np.array([1.0 + u, -u, 0.0])
 
 
 def _ratio_values(n: np.ndarray, d: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -288,12 +276,15 @@ def _null_points(u: np.ndarray, w: np.ndarray) -> list[float]:
 
     There p @ x, as a function of theta, touches zero: its maximum
     p0 + |(p1, p2)| or its minimum p0 - |(p1, p2)| is 0. The quadratic in s
-    is solved in the cancellation-free form.
+    is solved in the cancellation-free form, with its discriminant
+    half_b^2 - a c written through the 2x2 minors of (u, w), which does not
+    cancel where the two roots nearly meet (b_max's do at visibility 0).
     """
     a = w[0] * w[0] - w[1] * w[1] - w[2] * w[2]
     half_b = -(u[0] * w[0] - u[1] * w[1] - u[2] * w[2])
     c = u[0] * u[0] - u[1] * u[1] - u[2] * u[2]
-    q = half_b + math.copysign(math.sqrt(max(half_b * half_b - a * c, 0.0)), half_b)
+    m01, m02, m12 = u[0] * w[1] - u[1] * w[0], u[0] * w[2] - u[2] * w[0], u[1] * w[2] - u[2] * w[1]
+    q = half_b + math.copysign(math.sqrt(max(m01 * m01 + (m02 - m12) * (m02 + m12), 0.0)), half_b)
     return [num / den for num, den in ((q, a), (c, q)) if den != 0.0]
 
 
@@ -443,32 +434,32 @@ def _roots(searches: list, f) -> list[float]:
     return [roots[index] for index in range(len(searches))]
 
 
-def _peak(
-    knowledge: float, gate_model: GateModel, mb_sign: int, n: np.ndarray, d: np.ndarray
-) -> tuple[float, float]:
-    """b_max's (theta_star, b_star) from B's ratio (n, d); the caller has validated K and mb_sign."""
-    t = max(_null_points(n, -d))
+def _peak(n: np.ndarray, d: np.ndarray) -> tuple[float, float]:
+    """The peak (theta_star, t) of B = n.x / d.x, as Python floats, with theta_star in [0, 2 pi).
+
+    d.x > 0, so the peak value t is the largest t for which (n - t d).x
+    touches zero, and it is reached where (n1 - t d1, n2 - t d2) points
+    along (cos theta, sin theta).
+    """
+    t = float(max(_null_points(n, -d)))
     theta_star = math.atan2(n[2] - t * d[2], n[1] - t * d[1]) % _TWO_PI
     if theta_star == _TWO_PI:    # a tiny negative angle rounds up to the full turn
         theta_star = 0.0
-    row = _probability_matrix(np.array([theta_star]), knowledge, gate_model)[0]
-    # python floats round exactly like numpy's, at a fraction of the cost
-    return theta_star, _lg_terms(*row.tolist(), knowledge, mb_sign)[3]
+    return theta_star, t
 
 
 def b_max(knowledge: float, gate_model: GateModel = IDEAL_GATE, mb_sign: int = +1) -> tuple[float, float]:
     """Maximize B over theta in closed form.
 
-    B = n.x / d.x with x = (1, cos theta, sin theta) and d.x > 0, so the peak
-    value t is the largest t for which (n - t d).x touches zero, and it is
-    reached where (n1 - t d1, n2 - t d2) points along (cos theta, sin theta).
-    Returns (theta_star, b_star) with theta_star in [0, 2 pi) and b_star the
-    engine's B there; for the ideal gate b_star equals sqrt(2 - K^2).
+    Returns (theta_star, b_star) as Python floats, with theta_star in
+    [0, 2 pi) and b_star the peak of the closed form B = n.x / d.x, exact to
+    a few eps at every K and found without an engine call; for the ideal
+    gate b_star equals sqrt(2 - K^2).
     Raises ValueError unless mb_sign is +1 or -1.
     """
     _require_strength(knowledge)
     mb_sign = _require_sign(mb_sign)
-    return _peak(knowledge, gate_model, mb_sign, *_b_ratio(knowledge, gate_model, mb_sign))
+    return _peak(*_b_ratio(knowledge, gate_model, mb_sign))
 
 
 def violation_interval(
@@ -481,28 +472,29 @@ def violation_interval(
     the arc wraps through zero), or None when no violation exists: when the
     peak B exceeds 1 by no more than max(1e-12, 16 eps/K), its round-off.
     Endpoints are located by bisection to 1e-10 on the engine's B. Every
-    decision of the search equals the engine's, and the closed form
-    B = n.x / d.x makes it wherever its error bound allows: it is within
-    _DECIDE_MARGIN / K of the engine's B, so it decides each grid point
-    farther than that from B = 1 and from the grid's peak, and the engine
-    is run only on the rest. The closed-form crossings of (n - d).x predict
+    decision of the search equals the engine's, and the exact closed form
+    B = n.x / d.x makes it wherever the engine's error bound allows: the
+    engine's B is within _DECIDE_MARGIN / K of it, so it decides each grid
+    point farther than that from B = 1 and from the grid's peak, and the
+    engine is run only on the rest. The closed-form crossings of (n - d).x predict
     each bisection's path, so that a round of both ends' bisections costs
     one engine call. Raises ValueError unless mb_sign is +1 or -1.
     """
     _require_strength(knowledge)
     mb_sign = _require_sign(mb_sign)
-    n, d = _b_ratio(knowledge, gate_model, mb_sign)
-    theta_star, b_star = _peak(knowledge, gate_model, mb_sign, n, d)
-    if b_star <= 1.0 + max(1e-12, _PEAK_ROUNDOFF / knowledge):
-        return None
 
     def b_values(angles: np.ndarray) -> np.ndarray:
         return _lg_terms(*_probability_matrix(angles, knowledge, gate_model).T, knowledge, mb_sign)[3]
 
-    # the closed form is within _DECIDE_MARGIN / K of the engine's B, so
-    # farther than that from B = 1 and from the grid's peak it gives each
-    # grid point the engine's answers to B <= 1 and to the argmax; the
-    # engine decides the rest
+    n, d = _b_ratio(knowledge, gate_model, mb_sign)
+    theta_star = _peak(n, d)[0]
+    if b_values(np.array([theta_star]))[0] <= 1.0 + max(1e-12, _PEAK_ROUNDOFF / knowledge):
+        return None
+
+    # the engine's B is within _DECIDE_MARGIN / K of the exact closed form,
+    # so farther than that from B = 1 and from the grid's peak the closed
+    # form gives each grid point the engine's answers to B <= 1 and to the
+    # argmax; the engine decides the rest
     values = _ratio_values(n, d, _SEARCH_COS, _SEARCH_SIN)
     margin = _DECIDE_MARGIN / knowledge
     undecided = np.flatnonzero((np.abs(values - 1.0) <= margin) | (values >= values.max() - 2.0 * margin))

@@ -104,9 +104,9 @@ def fit_visibility(target_bmax: float, knowledge: float, tol: float = 1e-6) -> f
 
     gates = [experiment.GateModel(kind="ppbs", visibility=xi) for xi in (0.0, 1.0)]
     b_lo, b_hi = (experiment.b_max(knowledge, gate)[1] for gate in gates)
-    # B's 1/K terms carry round-off that makes b_max non-monotone in xi near
-    # the ends; near xi = 0 the peak also grows only as xi^2, so the quadratic
-    # has a near-double root there and its roots are round-off
+    # near xi = 0 the peak can grow only as xi^2, so there the quadratic has a
+    # near-double root and its roots are round-off; the slack, the engine's
+    # round-off in B at the peak, also accepts a target read off the engine's B
     slack = tol + experiment._PEAK_ROUNDOFF / knowledge
     if not b_lo - slack <= target_bmax <= b_hi + slack:
         raise UnreachableTargetError(

@@ -51,7 +51,8 @@ def probability_table(theta, knowledge):
 # closed forms for the ideal gate
 
 def visibility_factor(knowledge):
-    return math.sqrt(1.0 - knowledge**2)
+    # sqrt(1 - K^2) as a product, which does not cancel near K = 1
+    return math.sqrt((1.0 - knowledge) * (1.0 + knowledge))
 
 
 def s1_closed(theta):

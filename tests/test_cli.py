@@ -261,7 +261,8 @@ def test_gate_endpoint_figures_of_merit(tmp_path):
     assert column(header, rows, "b_max")[0] == pytest.approx(1.0, abs=1e-8)
 
 
-def test_gate_builds_the_ppbs_map_once(tmp_path, monkeypatch):
+def test_gate_builds_no_ppbs_map(tmp_path, monkeypatch):
+    # b_max is a closed form of the visibility: gate runs no engine and needs no map
     built = []
     original = optics.effective_map
 
@@ -272,8 +273,8 @@ def test_gate_builds_the_ppbs_map_once(tmp_path, monkeypatch):
     monkeypatch.setattr(optics, "effective_map", counting)
     experiment._gate_map.cache_clear()
     assert run_cli("gate", "--visibility", 0.3, "--out", tmp_path / "gate.csv", "--quiet") == 0
-    assert experiment._gate_map.cache_info().misses == 1
-    assert built == [0.3]
+    assert experiment._gate_map.cache_info().misses == 0
+    assert built == []
 
 
 def test_mc_rerun_summary_and_error_columns(tmp_path):

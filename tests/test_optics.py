@@ -210,14 +210,33 @@ def test_fit_visibility_recovers_known_setting():
     assert type(fitted) is float and fitted == pytest.approx(0.7, abs=1e-4)
 
 
-def test_fit_visibility_builds_only_the_endpoint_maps():
+def test_fit_visibility_builds_no_gate_map():
     gate = experiment.GateModel(kind="ppbs", visibility=0.7)
     target = experiment.b_max(K_STRONG, gate)[1]
     experiment._gate_map.cache_clear()
     xi = optics.fit_visibility(target, K_STRONG)
-    # the fit needs the maps at visibility 0 and 1 only, not one per step
-    assert experiment._gate_map.cache_info().misses <= 2
+    # the fit and its endpoint peaks are closed forms of the visibility
+    assert experiment._gate_map.cache_info().misses == 0
     assert xi == pytest.approx(0.7, abs=1e-9)
+
+
+@given(st.floats(-9.0, 0.0), visibilities)
+@settings(deadline=None, max_examples=200)
+def test_fit_visibility_round_trips_over_the_whole_domain_with_zero_tol(log_k, xi):
+    knowledge = max(10.0**log_k, experiment.MIN_KNOWLEDGE)
+    target = experiment.b_max(knowledge, experiment.GateModel(kind="ppbs", visibility=xi))[1]
+    fitted = optics.fit_visibility(target, knowledge, tol=0.0)
+    assert type(fitted) is float and 0.0 <= fitted <= 1.0
+    reached = experiment.b_max(knowledge, experiment.GateModel(kind="ppbs", visibility=fitted))[1]
+    slack = experiment._PEAK_ROUNDOFF / knowledge
+    ends = {end: experiment.b_max(knowledge, experiment.GateModel(kind="ppbs", visibility=end))[1]
+            for end in (0.0, 1.0)}
+    near = [end for end, peak in ends.items() if abs(target - peak) <= slack]
+    if near:
+        # a target within the slack of an end of the range returns that end
+        assert fitted == near[0], (knowledge, xi, fitted)
+    else:
+        assert abs(reached - target) <= 1e-13, (knowledge, xi, fitted)
 
 
 def test_fit_visibility_endpoint_returns_unity():

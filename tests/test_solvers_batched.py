@@ -8,8 +8,10 @@ exactly. The references below are the bodies the package had before: a
 bisection with one engine call per step, a grid walk that evaluates one angle
 at a time, a map that rebuilds the network from per-PPBS transmissions and
 its Kraus sums into a 16x16 superoperator with np.kron and a permanent
-block, a Choi matrix summed from 16 map applications, and the closed form's
-prepared-state terms built with np.kron.
+block, and a Choi matrix summed from 16 map applications.
+
+The solvers' closed form B = n.x / d.x and b_max's peak, which `gate`
+prints, are checked against the oracles instead, to 1e-13 at every K.
 """
 
 import math
@@ -320,28 +322,46 @@ def test_cached_gate_channel_equals_rebuilt_map():
         assert "%.9g" % fidelity == "%.9g" % reference_process_fidelity(expected), xi
 
 
-def reference_trig_coefficients(knowledge, gate_model):
-    """The prepared-state terms built with one np.kron each."""
-    mu = experiment._meter_amplitudes(knowledge)
-    rho = np.array([np.kron(term, np.outer(mu, mu.conj())) for term in experiment._SIGNAL_TERMS])
-    if gate_model.kind == "ideal":
-        out = rho * experiment._CZ_SIGNS
+# the oracle's angles for the closed-form checks
+ORACLE_ANGLES = np.linspace(0.0, TWO_PI, 257)
+
+
+# K log-uniform over the whole domain, both gates and both signs
+@given(st.floats(-9.0, 0.0), st.floats(0.0, 1.0), st.sampled_from(("ideal", "ppbs")), st.sampled_from((+1, -1)))
+# the peak and the trough of B = 1 / d.x nearly meet, where half_b^2 - a c would cancel
+@example(log_k=-9.0, xi=0.0, kind="ppbs", mb_sign=+1)
+@example(log_k=-3.0, xi=0.0, kind="ppbs", mb_sign=+1)
+@example(log_k=-9.0, xi=1e-3, kind="ppbs", mb_sign=+1)
+# within about 1e-8 of K = 1, where 1 - K^2 would cancel
+@example(log_k=math.log10(1.0 - 1e-8), xi=0.5, kind="ppbs", mb_sign=-1)
+@example(log_k=0.0, xi=0.5, kind="ideal", mb_sign=+1)
+@settings(deadline=None, max_examples=300)
+def test_b_max_and_the_closed_form_ratio_equal_the_oracles_at_every_strength(log_k, xi, kind, mb_sign):
+    knowledge = max(10.0**log_k, experiment.MIN_KNOWLEDGE)
+    gate = gate_for(kind, xi)
+    if kind == "ideal":
+        def b(theta):
+            return oracles.b_closed(theta, knowledge, mb_sign)
     else:
-        sup = reference_effective_map(gate_model.visibility).superoperator
-        out = (rho.reshape(3, 16) @ sup.T).reshape(3, 4, 4)
-    num = np.real(np.einsum("ia,jab,ib->ij", experiment._PROJ.conj(), out, experiment._PROJ))
-    return num, np.real(np.trace(out, axis1=1, axis2=2))
+        def b(theta):
+            return oracles.ppbs_b_closed(theta, knowledge, xi, mb_sign)
+    expected = [b(theta) for theta in ORACLE_ANGLES.tolist()]
+    ratio = experiment._ratio_values(
+        *experiment._b_ratio(knowledge, gate, mb_sign), np.cos(ORACLE_ANGLES), np.sin(ORACLE_ANGLES))
+    assert np.max(np.abs(ratio - expected)) <= 1e-13, (knowledge, gate, mb_sign)
+    # b_star is B at theta_star, and B at no angle exceeds it
+    theta_star, b_star = experiment.b_max(knowledge, gate, mb_sign)
+    assert abs(b_star - b(theta_star)) <= 1e-13, (knowledge, gate, mb_sign)
+    assert max(expected) <= b_star + 1e-13, (knowledge, gate, mb_sign)
+    if kind == "ideal":
+        assert abs(b_star - oracles.b_ceiling(knowledge)) <= 1e-13, knowledge
 
 
-def test_trig_coefficients_equal_kron_form():
-    # b_max's peak angle, and so every gate and fig3 file, is built on them
-    rng = np.random.default_rng(11)
-    strengths = np.concatenate([[1e-9, 1.0, 0.5445, 0.1598], 10.0 ** rng.uniform(-9.0, 0.0, 500)])
-    for index, knowledge in enumerate(strengths.tolist()):
-        gate = gate_for(("ideal", "ppbs")[index % 2], (0.0, 1.0, float(rng.uniform()))[index % 3])
-        num, trace = experiment._trig_coefficients(knowledge, gate)
-        expected_num, expected_trace = reference_trig_coefficients(knowledge, gate)
-        assert num.tobytes() == expected_num.tobytes() and trace.tobytes() == expected_trace.tobytes(), knowledge
+def test_b_max_returns_python_floats():
+    for gate in (experiment.IDEAL_GATE, gate_for("ppbs", 0.37)):
+        for mb_sign in (+1, -1):
+            theta_star, b_star = experiment.b_max(0.5445, gate, mb_sign)
+            assert type(theta_star) is float and type(b_star) is float, (gate, mb_sign)
 
 
 def test_network_and_channel_terms_equal_the_per_ppbs_builder():
