@@ -5,20 +5,26 @@ Run from any directory; the package under this checkout's ``src`` is timed:
 
     python scripts/write_bench.py --out BENCH_<n>.json
 
-The file holds three things:
+The file holds four things:
 
 - ``in_process_ms``: median milliseconds per call, over 101 calls after
   one warm-up call, for each layer of the simulator and each CLI
   subcommand at its default and at a scaled size. Solver entries are per
   call, averaged over K = 0.5445 and 0.1598 and both Mb signs; ppbs entries
   use visibility 0.9.
+- ``startup_ms``: median milliseconds of ``python -m lgi_weaksim`` in a
+  fresh interpreter, over 21 runs, for ``gate``, ``--version``, a usage
+  error and, as the control that loads numpy, ``sweep``.
 - ``perfbench``: the last JSON line that ``perfbench/run.py --workload all
   --seed 0 --seconds 30`` prints, read as output.
 - ``stamp``: the python and numpy versions, the OpenBLAS core, the
   ``PYTHONDONTWRITEBYTECODE`` setting, whether each package module's
-  bytecode was cached before this script imported it, the host's CPU count
-  and the git commit, so that a number can be told apart from the machine
-  it came from.
+  bytecode was cached before this script imported it, the host's CPU count,
+  the git commit and the sha256 of the package sources (perfbench's
+  ``source_digest``), so that a number can be told apart from the machine
+  it came from. The git commit is the one the timed tree was based on,
+  since a BENCH file is written before its change is committed; the
+  source digest names the timed tree itself.
 
 Each entry is timed in one run, so two BENCH files compare runs made at
 different host loads: back to back, entries that a change does not touch
@@ -60,6 +66,7 @@ STRENGTHS = (0.5445, 0.1598)
 VISIBILITY = 0.9
 SCALED_STEPS = "4096"
 REPEATS = 101
+STARTUP_RUNS = 21
 PERFBENCH_SECONDS = 30.0    # the benchmark's run length per workload
 
 
@@ -140,6 +147,32 @@ def in_process() -> dict:
         return {name: statistics.median(samples[name]) / 1e6 / per_call for name, (_, per_call) in calls.items()}
 
 
+def startup() -> dict:
+    """Median milliseconds of a fresh interpreter running each command, over STARTUP_RUNS runs.
+
+    The commands take turns, one run each per round, as in ``in_process``.
+    A run whose exit code is not the one its command should give raises.
+    """
+    with tempfile.TemporaryDirectory() as out_dir:
+        out = os.path.join(out_dir, "out.csv")
+        commands = {
+            "startup.gate": (["gate", "--out", out, "--quiet"], 0),
+            "startup.version": (["--version"], 0),
+            "startup.usage_error": (["gate", "--visibility", "2", "--out", out], 2),
+            "startup.sweep": (["sweep", "--out", out, "--quiet"], 0),
+        }
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        samples = {name: [] for name in commands}
+        for _ in range(STARTUP_RUNS):
+            for name, (argv, code) in commands.items():
+                start = time.perf_counter_ns()
+                result = subprocess.run([sys.executable, "-m", "lgi_weaksim", *argv], env=env, capture_output=True)
+                samples[name].append(time.perf_counter_ns() - start)
+                if result.returncode != code:
+                    raise RuntimeError(f"{name} exited {result.returncode}: {result.stderr.decode()}")
+        return {name: statistics.median(samples[name]) / 1e6 for name in commands}
+
+
 def perfbench() -> dict:
     """The verdict line of one benchmark run over every workload at seed 0."""
     command = [sys.executable, str(ROOT / "perfbench" / "run.py"),
@@ -167,6 +200,14 @@ def git(*args: str) -> str | None:
         return None
 
 
+def source_digest() -> str:
+    """perfbench's sha256 over ``src/lgi_weaksim/*.py``."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.source_digest()
+
+
 def stamp() -> dict:
     status = git("status", "--porcelain", "--untracked-files=no")
     return {
@@ -179,6 +220,7 @@ def stamp() -> dict:
         "machine": platform.machine(),
         "git_commit": git("rev-parse", "HEAD"),
         "git_dirty": None if status is None else bool(status),
+        "source_sha256": source_digest(),
     }
 
 
@@ -187,7 +229,7 @@ def main(argv=None):
     parser.add_argument("--out", required=True, help="output JSON path")
     args = parser.parse_args(argv)
 
-    bench = {"stamp": stamp(), "in_process_ms": in_process(), "perfbench": perfbench()}
+    bench = {"stamp": stamp(), "in_process_ms": in_process(), "startup_ms": startup(), "perfbench": perfbench()}
     with open(args.out, "w", encoding="utf-8") as stream:
         json.dump(bench, stream, indent=1, sort_keys=True)
         stream.write("\n")

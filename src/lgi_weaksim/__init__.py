@@ -22,6 +22,10 @@ The package layers are:
 The package itself exports only ``__version__``; import names from the
 modules, e.g. ``from lgi_weaksim.experiment import b_max``. Importing the
 package loads none of them, so each caller pays only for what it uses.
+Importing ``cli``, ``experiment`` or ``optics`` does not load numpy either:
+the functions that build arrays import it when they are first called, so
+``b_max``, ``gate``, ``--help``, ``--version`` and usage errors run without
+it. ``stats`` and ``qcore`` import it on load.
 """
 
 __version__ = "0.1.0"

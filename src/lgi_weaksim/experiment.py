@@ -30,13 +30,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
-
-import numpy as np
+from functools import cache, lru_cache
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import optics
 from .errors import DegenerateConditioningError, ZeroStrengthError, _real_or_nan, _require_count, _require_real
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Estimators divide by K; below this guard the calibration is undefined.
 MIN_KNOWLEDGE = 1e-9
@@ -48,17 +50,10 @@ MAX_THETA_STEPS = 100_000
 _TWO_PI = 2.0 * math.pi
 _SEARCH_GRID = 1024          # coarse grid for violation_interval
 _GRID_SPACING = _TWO_PI / _SEARCH_GRID
-_SEARCH_ANGLES = np.linspace(0.0, _TWO_PI, _SEARCH_GRID, endpoint=False)
-_SEARCH_COS, _SEARCH_SIN = np.cos(_SEARCH_ANGLES), np.sin(_SEARCH_ANGLES)
 _DECIDE_MARGIN = 2.0**10 * math.ulp(1.0)  # / K: over 16 times the engine's error from exact B, measured below 10 eps/K
 _REFINE_XTOL = 1e-10         # bisection angular resolution
 _BISECT_RTOL = 4.0 * math.ulp(1.0)      # scipy.optimize.bisect's default rtol, 4 eps
 _PEAK_ROUNDOFF = 16.0 * math.ulp(1.0)   # / K bounds the engine's round-off in B at the peak, measured below 6 eps/K
-
-# Each estimator is a contrast over the outcomes (dd, da, ad, aa).
-_S1_SIGN = np.array([+1.0, +1.0, -1.0, -1.0])   # meter D minus meter A
-_S2_SIGN = np.array([+1.0, -1.0, +1.0, -1.0])   # signal D minus signal A
-_PRODUCT_SIGN = _S1_SIGN * _S2_SIGN
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -127,6 +122,8 @@ class ProbabilityTable:
             raise ValueError(f"probabilities must sum to 1, got {total!r}")
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.p_dd, self.p_da, self.p_ad, self.p_aa])
 
     @property
@@ -153,6 +150,8 @@ class ThetaGrid:
         object.__setattr__(self, "steps", _require_count(self.steps, "grid steps", 2, MAX_THETA_STEPS))
 
     def values(self) -> np.ndarray:
+        import numpy as np
+
         return np.linspace(self.start, self.stop, self.steps)
 
 
@@ -182,16 +181,35 @@ def _gate_map(visibility: float) -> np.ndarray:
     return optics.effective_map(visibility)
 
 
-_D_KET = np.array([_INV_SQRT2, _INV_SQRT2], dtype=complex)
-_A_KET = np.array([_INV_SQRT2, -_INV_SQRT2], dtype=complex)
-# rows ordered (dd, da, ad, aa) = (meter, signal); vectors are signal-major
-_PROJ = np.stack([np.kron(s, m) for m in (_D_KET, _A_KET) for s in (_D_KET, _A_KET)])
-_BRAS = _PROJ.conj()[:, None, None, :]   # (4, 1, 1, 4): one row vector per outcome
-_KETS = _PROJ[:, :, None]                 # (4, 4, 1): one column vector per outcome
+@cache
+def _arrays() -> SimpleNamespace:
+    """The module's constant arrays, built on first use, so that importing it loads no numpy."""
+    import numpy as np
+
+    d_ket = np.array([_INV_SQRT2, _INV_SQRT2], dtype=complex)
+    a_ket = np.array([_INV_SQRT2, -_INV_SQRT2], dtype=complex)
+    # rows ordered (dd, da, ad, aa) = (meter, signal); vectors are signal-major
+    proj = np.stack([np.kron(s, m) for m in (d_ket, a_ket) for s in (d_ket, a_ket)])
+    search_angles = np.linspace(0.0, _TWO_PI, _SEARCH_GRID, endpoint=False)
+    # each estimator is a contrast over the outcomes (dd, da, ad, aa)
+    s1_sign = np.array([+1.0, +1.0, -1.0, -1.0])   # meter D minus meter A
+    s2_sign = np.array([+1.0, -1.0, +1.0, -1.0])   # signal D minus signal A
+    return SimpleNamespace(
+        bras=proj.conj()[:, None, None, :],  # (4, 1, 1, 4): one row vector per outcome
+        kets=proj[:, :, None],               # (4, 4, 1): one column vector per outcome
+        search_angles=search_angles,         # violation_interval's coarse grid
+        search_cos=np.cos(search_angles),
+        search_sin=np.sin(search_angles),
+        s1_sign=s1_sign,
+        s2_sign=s2_sign,
+        product_sign=s1_sign * s2_sign,
+    )
 
 
 def _joint_kets(thetas: np.ndarray, knowledge: float, gate_model: GateModel) -> np.ndarray:
     """The signal-meter kets, one row per angle, with the ideal gate's sign flip of VV."""
+    import numpy as np
+
     half = np.asarray(thetas, dtype=float) / 2.0
     cos, sin = np.cos(half), np.sin(half)
     # the meter's (H, V) amplitudes of gamma|D> + gamma_bar|A>
@@ -231,26 +249,32 @@ def _probability_matrix(thetas: np.ndarray, knowledge: float, gate_model: GateMo
     check. A real or fused form sums in another order and changes the last
     bit of some CSV cells.
     """
+    import numpy as np
+
+    arrays = _arrays()
     psi = _joint_kets(thetas, knowledge, gate_model)
     if gate_model.kind == "ideal":
-        amps = _BRAS @ psi[:, :, None]
+        amps = arrays.bras @ psi[:, :, None]
         # |amplitude|^2 is never below +0, so only the upper bound of [0, 1] can bind
         return np.minimum(np.real(amps * amps.conj()).reshape(4, -1).T, 1.0)
     rho = psi[:, :, None] * psi[:, None, :].conj() * _gate_map(gate_model.visibility)
     # the values of rho /= trace: numpy divides by a complex number with zero
     # imaginary part by multiplying by its reciprocal
     rho *= (1.0 / _real_trace(rho))[:, None, None]
-    vecs = (rho.reshape(-1, 4) @ _KETS).reshape(4, -1, 4, 1)
-    return np.clip(np.real(_BRAS @ vecs).reshape(4, -1).T, 0.0, 1.0)
+    vecs = (rho.reshape(-1, 4) @ arrays.kets).reshape(4, -1, 4, 1)
+    return np.clip(np.real(arrays.bras @ vecs).reshape(4, -1).T, 0.0, 1.0)
 
 
 def _contrast(knowledge: float, mb_sign: int) -> np.ndarray:
     """B as a contrast vector over (dd, da, ad, aa): B = coeff @ p."""
-    return mb_sign * (_S1_SIGN / knowledge + _PRODUCT_SIGN / knowledge) - _S2_SIGN
+    arrays = _arrays()
+    return mb_sign * (arrays.s1_sign / knowledge + arrays.product_sign / knowledge) - arrays.s2_sign
 
 
-def _b_ratio(knowledge: float, gate_model: GateModel, mb_sign: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n, d) with B(theta) = n @ x / (d @ x) and x = (1, cos theta, sin theta), in closed form.
+def _b_ratio(knowledge: float, gate_model: GateModel, mb_sign: int) -> tuple[tuple, tuple]:
+    """(n, d) with B(theta) = n.x / d.x and x = (1, cos theta, sin theta), in closed form.
+
+    n and d are tuples of three Python floats.
 
     At visibility xi (1 for the ideal gate), with v = sqrt(1 - K^2), the
     K-calibrated moments share the denominator d.x = 1 + u (1 - cos theta),
@@ -262,16 +286,16 @@ def _b_ratio(knowledge: float, gate_model: GateModel, mb_sign: int) -> tuple[np.
     xi = 1.0 if gate_model.kind == "ideal" else gate_model.visibility
     v = math.sqrt((1.0 - knowledge) * (1.0 + knowledge))
     u = (1.0 - xi) * knowledge * knowledge / (1.0 + v)
-    n = mb_sign * np.array([1.0 - xi, xi, 1.0 - xi]) - np.array([0.0, 0.0, xi * v + 1.0 - xi])
-    return n, np.array([1.0 + u, -u, 0.0])
+    n = (mb_sign * (1.0 - xi), mb_sign * xi, mb_sign * (1.0 - xi) - (xi * v + 1.0 - xi))
+    return n, (1.0 + u, -u, 0.0)
 
 
-def _ratio_values(n: np.ndarray, d: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """B = n.x / d.x at angles given by their cos and sin, by elementwise ufuncs: no BLAS call."""
+def _ratio_values(n: tuple, d: tuple, cos, sin):
+    """B = n.x / d.x at angles given by their cos and sin, floats or arrays, elementwise: no BLAS call."""
     return (n[0] + n[1] * cos + n[2] * sin) / (d[0] + d[1] * cos + d[2] * sin)
 
 
-def _null_points(u: np.ndarray, w: np.ndarray) -> list[float]:
+def _null_points(u, w) -> list[float]:
     """Real s where p = u + s w has p0^2 = p1^2 + p2^2.
 
     There p @ x, as a function of theta, touches zero: its maximum
@@ -290,6 +314,8 @@ def _null_points(u: np.ndarray, w: np.ndarray) -> list[float]:
 
 def run(config: ExperimentConfig) -> ProbabilityTable:
     """Exact joint outcome probabilities for one protocol setting."""
+    import numpy as np
+
     row = _probability_matrix(np.array([config.theta]), config.knowledge, config.gate_model)[0]
     return ProbabilityTable(*row.tolist())
 
@@ -323,6 +349,8 @@ def _lg_terms(p_dd, p_da, p_ad, p_aa, knowledge: float, mb_sign: int = +1) -> tu
 
 def _estimates(p_dd, p_da, p_ad, p_aa, knowledge: float, mb_sign: int = +1) -> Estimates:
     """Every estimator as a contrast of the joint probabilities, written once."""
+    import numpy as np
+
     psel = p_dd + p_ad
     wv = np.divide(p_dd - p_ad, knowledge * psel, out=np.full(np.shape(psel), np.nan),
                    where=psel >= MIN_POSTSELECTION)
@@ -434,14 +462,14 @@ def _roots(searches: list, f) -> list[float]:
     return [roots[index] for index in range(len(searches))]
 
 
-def _peak(n: np.ndarray, d: np.ndarray) -> tuple[float, float]:
+def _peak(n: tuple, d: tuple) -> tuple[float, float]:
     """The peak (theta_star, t) of B = n.x / d.x, as Python floats, with theta_star in [0, 2 pi).
 
     d.x > 0, so the peak value t is the largest t for which (n - t d).x
     touches zero, and it is reached where (n1 - t d1, n2 - t d2) points
     along (cos theta, sin theta).
     """
-    t = float(max(_null_points(n, -d)))
+    t = max(_null_points(n, [-x for x in d]))
     theta_star = math.atan2(n[2] - t * d[2], n[1] - t * d[1]) % _TWO_PI
     if theta_star == _TWO_PI:    # a tiny negative angle rounds up to the full turn
         theta_star = 0.0
@@ -457,7 +485,7 @@ def b_max(knowledge: float, gate_model: GateModel = IDEAL_GATE, mb_sign: int = +
     gate b_star equals sqrt(2 - K^2).
     Raises ValueError unless mb_sign is +1 or -1.
     """
-    _require_strength(knowledge)
+    knowledge = _require_strength(knowledge)
     mb_sign = _require_sign(mb_sign)
     return _peak(*_b_ratio(knowledge, gate_model, mb_sign))
 
@@ -480,8 +508,11 @@ def violation_interval(
     each bisection's path, so that a round of both ends' bisections costs
     one engine call. Raises ValueError unless mb_sign is +1 or -1.
     """
-    _require_strength(knowledge)
+    import numpy as np
+
+    knowledge = _require_strength(knowledge)
     mb_sign = _require_sign(mb_sign)
+    arrays = _arrays()
 
     def b_values(angles: np.ndarray) -> np.ndarray:
         return _lg_terms(*_probability_matrix(angles, knowledge, gate_model).T, knowledge, mb_sign)[3]
@@ -495,12 +526,12 @@ def violation_interval(
     # so farther than that from B = 1 and from the grid's peak the closed
     # form gives each grid point the engine's answers to B <= 1 and to the
     # argmax; the engine decides the rest
-    values = _ratio_values(n, d, _SEARCH_COS, _SEARCH_SIN)
+    values = _ratio_values(n, d, arrays.search_cos, arrays.search_sin)
     margin = _DECIDE_MARGIN / knowledge
     undecided = np.flatnonzero((np.abs(values - 1.0) <= margin) | (values >= values.max() - 2.0 * margin))
-    values[undecided] = b_values(_SEARCH_ANGLES[undecided])
+    values[undecided] = b_values(arrays.search_angles[undecided])
     peak = int(np.argmax(values))
-    start = _SEARCH_ANGLES[peak]
+    start = arrays.search_angles[peak]
     # the peak's image nearest the grid peak, for arcs that miss the grid
     theta_star -= _TWO_PI * round((theta_star - start) / _TWO_PI)
 
@@ -508,7 +539,7 @@ def violation_interval(
         return (b_values(np.array([theta % _TWO_PI for theta in angles])) - 1.0).tolist()
 
     # B - 1 has the sign of (n - d).x = p0 + r cos(theta - phi), zero at phi +- alpha
-    p0, p1, p2 = (n - d).tolist()
+    p0, p1, p2 = (x - y for x, y in zip(n, d))
     phi = math.atan2(p2, p1)
     alpha = math.atan2(math.sqrt(max(p1 * p1 + p2 * p2 - p0 * p0, 0.0)), -p0)
 

@@ -24,21 +24,31 @@ Both paths are diagonal, so the channel is an entrywise product with a real
 
 from __future__ import annotations
 
-import numpy as np
+from functools import cache
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .errors import UnreachableTargetError, _require_real
 
-# the direct and exchange coincidence paths M_d and M_x
-_DIRECT_PATH = np.eye(4) / 3.0
-_DIRECT_PATH.setflags(write=False)
-_EXCHANGE_PATH = np.diag([0.0, 0.0, 0.0, -2.0 / 3.0])
-_EXCHANGE_PATH.setflags(write=False)
-# the multiplier's coherent term m m^T and labeled term d d^T + x x^T, with d
-# and x the paths' diagonals and m = d + x
-_d, _x = np.diag(_DIRECT_PATH), np.diag(_EXCHANGE_PATH)
-_COHERENT, _LABELED = np.outer(_d + _x, _d + _x), np.outer(_d, _d) + np.outer(_x, _x)
-_COHERENT.setflags(write=False)
-_LABELED.setflags(write=False)
+if TYPE_CHECKING:
+    import numpy as np
+
+
+@cache
+def _arrays() -> SimpleNamespace:
+    """The module's constant arrays, read-only, built on first use, so that importing it loads no numpy."""
+    import numpy as np
+
+    # the direct and exchange coincidence paths M_d and M_x
+    direct, exchange = np.eye(4) / 3.0, np.diag([0.0, 0.0, 0.0, -2.0 / 3.0])
+    # the multiplier's coherent term m m^T and labeled term d d^T + x x^T, with
+    # d and x the paths' diagonals and m = d + x
+    d, x = np.diag(direct), np.diag(exchange)
+    arrays = SimpleNamespace(direct_path=direct, exchange_path=exchange,
+                             coherent=np.outer(d + x, d + x), labeled=np.outer(d, d) + np.outer(x, x))
+    for array in vars(arrays).values():
+        array.setflags(write=False)
+    return arrays
 
 
 def effective_map(visibility: float) -> np.ndarray:
@@ -59,7 +69,8 @@ def effective_map(visibility: float) -> np.ndarray:
     real number in [0, 1].
     """
     visibility = _require_real(visibility, "visibility", 0, 1)
-    multiplier = visibility * _COHERENT + (1.0 - visibility) * _LABELED
+    arrays = _arrays()
+    multiplier = visibility * arrays.coherent + (1.0 - visibility) * arrays.labeled
     multiplier.setflags(write=False)
     return multiplier
 
@@ -101,6 +112,7 @@ def fit_visibility(target_bmax: float, knowledge: float, tol: float = 1e-6) -> f
 
     target_bmax = _require_real(target_bmax, "target_bmax")
     tol = _require_real(tol, "tol", 0)
+    knowledge = experiment._require_strength(knowledge)
 
     gates = [experiment.GateModel(kind="ppbs", visibility=xi) for xi in (0.0, 1.0)]
     b_lo, b_hi = (experiment.b_max(knowledge, gate)[1] for gate in gates)
@@ -118,10 +130,10 @@ def fit_visibility(target_bmax: float, knowledge: float, tol: float = 1e-6) -> f
     if abs(target_bmax - b_hi) <= slack:
         return 1.0
     (n0, d0), (n1, d1) = (experiment._b_ratio(knowledge, gate, +1) for gate in gates)
-    u = n0 - target_bmax * d0           # p at xi = 0
-    w = (n1 - target_bmax * d1) - u     # its change from xi = 0 to xi = 1
+    u = [a - target_bmax * b for a, b in zip(n0, d0)]              # p at xi = 0
+    w = [a - target_bmax * b - c for a, b, c in zip(n1, d1, u)]    # its change from xi = 0 to xi = 1
     # p0 < 0 where the peak meets the target, p0 > 0 where the minimum does;
     # the peak's root nearest the middle is the one in [0, 1]
     peaks = [xi for xi in experiment._null_points(u, w) if u[0] + xi * w[0] <= 0.0]
     xi = min(peaks, key=lambda root: abs(root - 0.5))
-    return float(min(max(xi, 0.0), 1.0))
+    return min(max(xi, 0.0), 1.0)

@@ -341,20 +341,30 @@ def test_cli_import_leaves_process_pools_unloaded():
 
 
 def test_cli_import_and_parser_leave_qcore_and_stats_unloaded():
-    # no command loads qcore, and only mc samples, so only mc pays for the sampler
+    # no command loads qcore, only mc samples, so only mc pays for the sampler,
+    # and only the commands that build arrays pay for numpy
     probe = ("lgi_weaksim.cli.build_parser(); "
-             "print([m for m in ('lgi_weaksim.qcore', 'lgi_weaksim.stats') if m in sys.modules])")
+             "print([m for m in ('lgi_weaksim.qcore', 'lgi_weaksim.stats', 'numpy') if m in sys.modules])")
     assert _after_cli_import(probe) == "[]"
 
 
-def test_mc_in_a_fresh_interpreter_matches_its_golden_digest(tmp_path):
-    # mc loads stats on demand and never qcore; its bytes must not depend on who loaded stats first
-    argv, digest = MC_GOLDEN[1]
-    out = tmp_path / "mc.csv"
-    probe = (f"code = lgi_weaksim.cli.main(['mc', *{list(argv)!r}, '--out', {str(out)!r}, '--quiet']); "
-             "print([m for m in ('lgi_weaksim.qcore', 'lgi_weaksim.stats') if m in sys.modules]); sys.exit(code)")
-    assert _after_cli_import(probe) == "['lgi_weaksim.stats']"
-    assert body_digest(out) == digest
+@pytest.mark.parametrize("argv,code", [
+    (("gate",), 0),
+    (("--help",), 0),
+    (("--version",), 0),
+    (("gate", "--visibility", "2"), 2),
+    (("sweep", "--k", "2"), 2),
+    (("fig3", "--theta-steps", "1"), 2),
+], ids=["gate", "help", "version", "gate-usage-error", "sweep-usage-error", "fig3-usage-error"])
+def test_commands_that_build_no_array_leave_numpy_unloaded(argv, code, tmp_path):
+    # numpy's import is most of a short command's time; gate works on a few floats
+    if not argv[0].startswith("--"):
+        argv = [*argv, "--out", str(tmp_path / "out.csv"), "--quiet"]
+    probe = (f"\ntry:\n    code = lgi_weaksim.cli.main({argv!r})\n"
+             "except SystemExit as exc:\n    code = exc.code\n"
+             "print(code, 'numpy' in sys.modules)")
+    assert _after_cli_import(probe).splitlines()[-1] == f"{code} False"
+    assert (tmp_path / "out.csv").exists() == (argv[0] == "gate" and code == 0)
 
 
 def test_build_parser_is_built_once():
@@ -448,6 +458,22 @@ SWEEP_FIG3_GOLDEN = [
 def test_sweep_and_fig3_bytes_match_golden_digests(argv, digest, tmp_path):
     out = tmp_path / "out.csv"
     assert run_cli(*argv, "--out", out, "--quiet") == 0
+    assert body_digest(out) == digest
+
+
+@pytest.mark.parametrize("argv,digest,loaded", [
+    (("mc", *MC_GOLDEN[1][0]), MC_GOLDEN[1][1], ["lgi_weaksim.stats", "numpy"]),
+    (*SWEEP_FIG3_GOLDEN[1], ["numpy"]),
+    (*GATE_FIG3_GOLDEN[4], ["numpy"]),
+], ids=["mc", "sweep-ppbs", "fig3"])
+def test_array_commands_in_a_fresh_interpreter_match_their_golden_digests(argv, digest, loaded, tmp_path):
+    # mc loads stats on demand and never qcore, and mc, sweep and fig3 load
+    # numpy on first use; their bytes must not depend on who loaded them first
+    out = tmp_path / "out.csv"
+    probe = (f"code = lgi_weaksim.cli.main([*{list(argv)!r}, '--out', {str(out)!r}, '--quiet']); "
+             "print([m for m in ('lgi_weaksim.qcore', 'lgi_weaksim.stats', 'numpy') if m in sys.modules]); "
+             "sys.exit(code)")
+    assert _after_cli_import(probe) == repr(loaded)
     assert body_digest(out) == digest
 
 

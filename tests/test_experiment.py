@@ -142,8 +142,8 @@ def frozen_ppbs_rows(thetas, knowledge, visibility):
     rho /= np.real(np.trace(rho, axis1=1, axis2=2))[:, None, None]
     rho = np.add(rho, rho.swapaxes(1, 2).conj(), order="C")
     rho *= 0.5
-    vecs = (rho.reshape(-1, 4) @ experiment._KETS).reshape(4, -1, 4, 1)
-    return np.clip(np.real(experiment._BRAS @ vecs).reshape(4, -1).T, 0.0, 1.0)
+    vecs = (rho.reshape(-1, 4) @ experiment._arrays().kets).reshape(4, -1, 4, 1)
+    return np.clip(np.real(experiment._arrays().bras @ vecs).reshape(4, -1).T, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("visibility", [0.0, 2.0**-24, 0.37, 1.0])

@@ -44,13 +44,13 @@ def test_path_operators_are_the_networks_coincidence_paths():
     # entry [row, col]: the amplitude from basis input col to basis output row
     direct = u[np.ix_(s, s)] * u[np.ix_(m, m)]
     exchange = u[np.ix_(m, s)] * u[np.ix_(s, m)]
-    assert np.array_equal(direct, optics._DIRECT_PATH)
-    assert np.array_equal(exchange, optics._EXCHANGE_PATH)
+    assert np.array_equal(direct, optics._arrays().direct_path)
+    assert np.array_equal(exchange, optics._arrays().exchange_path)
 
 
 def coincidence_operator():
     """The coherent coincidence operator: the sum of the direct and exchange paths."""
-    return optics._DIRECT_PATH + optics._EXCHANGE_PATH
+    return optics._arrays().direct_path + optics._arrays().exchange_path
 
 
 def test_two_photon_output_matches_oracle():
@@ -208,6 +208,14 @@ def test_fit_visibility_recovers_known_setting():
     target = experiment.b_max(K_STRONG, gate)[1]
     fitted = optics.fit_visibility(target, K_STRONG)
     assert type(fitted) is float and fitted == pytest.approx(0.7, abs=1e-4)
+
+
+@pytest.mark.parametrize("to_numpy", [np.float64, np.float32])
+def test_fit_visibility_takes_a_numpy_k_as_its_float(to_numpy):
+    knowledge = to_numpy(K_STRONG)
+    target = experiment.b_max(float(knowledge), experiment.GateModel(kind="ppbs", visibility=0.7))[1]
+    fitted = optics.fit_visibility(target, knowledge)
+    assert type(fitted) is float and fitted == optics.fit_visibility(target, float(knowledge))
 
 
 def test_fit_visibility_builds_no_gate_map():

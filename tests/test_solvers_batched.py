@@ -65,7 +65,7 @@ def reference_scalar_b(knowledge, gate_model, mb_sign):
 
 def reference_b_max(knowledge, gate_model, mb_sign):
     n, d = experiment._b_ratio(knowledge, gate_model, mb_sign)
-    t = max(experiment._null_points(n, -d))
+    t = max(experiment._null_points(n, [-x for x in d]))
     theta_star = math.atan2(n[2] - t * d[2], n[1] - t * d[1]) % TWO_PI
     if theta_star == TWO_PI:
         theta_star = 0.0
@@ -288,7 +288,7 @@ def test_closed_form_b_is_within_the_search_margin_of_the_engine():
     # than _DECIDE_MARGIN / K from a decision, so its distance from the
     # engine's B must stay below that, here with a 16-fold reserve
     rng = np.random.default_rng(18)
-    angles = np.concatenate([experiment._SEARCH_ANGLES, rng.uniform(0.0, TWO_PI, 512)])
+    angles = np.concatenate([experiment._arrays().search_angles, rng.uniform(0.0, TWO_PI, 512)])
     cos, sin = np.cos(angles), np.sin(angles)
     strengths = [1e-9, 1.0, 1.0 - 1e-8, 1.0 - 3.4e-11, *(10.0 ** rng.uniform(-9.0, 0.0, 12)).tolist()]
     for knowledge in strengths:
@@ -364,16 +364,31 @@ def test_b_max_returns_python_floats():
             assert type(theta_star) is float and type(b_star) is float, (gate, mb_sign)
 
 
+def test_a_numpy_k_reaches_b_max_and_violation_interval_as_its_float():
+    # K's check returns it as a float; a float32 K must not carry float32 arithmetic into the closed form
+    for to_numpy in (np.float64, np.float32):
+        knowledge = to_numpy(0.5445)
+        for gate in (experiment.IDEAL_GATE, gate_for("ppbs", 0.37), gate_for("ppbs", 0.9)):
+            for mb_sign in (+1, -1):
+                case = (to_numpy, gate, mb_sign)
+                peak = experiment.b_max(knowledge, gate, mb_sign)
+                assert [type(x) for x in peak] == [float, float], case
+                assert peak == experiment.b_max(float(knowledge), gate, mb_sign), case
+                arc = experiment.violation_interval(knowledge, gate, mb_sign)
+                assert arc is None or [type(x) for x in arc] == [float, float], case
+                assert arc == experiment.violation_interval(float(knowledge), gate, mb_sign), case
+
+
 def test_network_and_channel_terms_equal_the_per_ppbs_builder():
     network = reference_network()
     direct, exchange = reference_labeled_path_operators(network)
     coherent = reference_multiplier(reference_kraus_to_superoperator([reference_coincidence_block(network)]))
     labeled = reference_multiplier(reference_kraus_to_superoperator([direct, exchange]))
-    assert optics._COHERENT.tobytes() == coherent.tobytes()
-    assert optics._LABELED.tobytes() == labeled.tobytes()
+    assert optics._arrays().coherent.tobytes() == coherent.tobytes()
+    assert optics._arrays().labeled.tobytes() == labeled.tobytes()
 
 
 def test_cached_channel_terms_are_read_only():
     # every map shares the terms, and the cache shares each map, so no caller may write into them
-    for term in (optics._COHERENT, optics._LABELED, experiment._gate_map(0.37)):
+    for term in (optics._arrays().coherent, optics._arrays().labeled, experiment._gate_map(0.37)):
         assert not term.flags.writeable
