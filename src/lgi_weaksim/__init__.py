@@ -3,9 +3,10 @@ variable-strength polarization measurement.
 
 The package layers are:
 
-- :mod:`lgi_weaksim.qcore` - the tests' object-level reference: the meter
-  setting (the measurement strength K), polarization states and the
-  controlled-sign coupling. No command loads it.
+- :mod:`lgi_weaksim.qcore` - the tests' one-state reference on plain
+  arrays: the meter's gammas for a measurement strength K, polarization
+  kets, the controlled-sign coupling and the joint D/A measurement. No
+  command loads it.
 - :mod:`lgi_weaksim.optics` - the paper's PPBS gate as a quantum channel:
   the network's direct and exchange coincidence paths, two diagonal Kraus
   operators, mixed by the photons' interference visibility.

@@ -188,8 +188,9 @@ def _arrays() -> SimpleNamespace:
 
     d_ket = np.array([_INV_SQRT2, _INV_SQRT2], dtype=complex)
     a_ket = np.array([_INV_SQRT2, -_INV_SQRT2], dtype=complex)
-    # rows ordered (dd, da, ad, aa) = (meter, signal); vectors are signal-major
-    proj = np.stack([np.kron(s, m) for m in (d_ket, a_ket) for s in (d_ket, a_ket)])
+    # rows ordered (dd, da, ad, aa) = (meter, signal); vectors are signal-major,
+    # np.outer(s, m).ravel() being np.kron(s, m) byte for byte
+    proj = np.stack([np.outer(s, m).ravel() for m in (d_ket, a_ket) for s in (d_ket, a_ket)])
     search_angles = np.linspace(0.0, _TWO_PI, _SEARCH_GRID, endpoint=False)
     # each estimator is a contrast over the outcomes (dd, da, ad, aa)
     s1_sign = np.array([+1.0, +1.0, -1.0, -1.0])   # meter D minus meter A
@@ -229,13 +230,13 @@ def _real_trace(rho: np.ndarray) -> np.ndarray:
 def _probability_matrix(thetas: np.ndarray, knowledge: float, gate_model: GateModel) -> np.ndarray:
     """The probability engine: rows of (p_dd, p_da, p_ad, p_aa) for an angle array.
 
-    Each row equals, bit for bit and at any batch size, what the
-    one-state-at-a-time object path gives for that angle and strength K (the
-    tensor product of the signal and meter kets, then the sign flip or the
-    gate map, then the joint projective measurement). The gate map is an
+    Each row equals, bit for bit and at any batch size, what ``qcore``'s
+    one-state reference gives for that angle and strength K (the tensor
+    product of the signal and meter kets, then the sign flip or the gate
+    map, then the joint projective measurement). The gate map is an
     entrywise product with its real 4x4 multiplier, with no BLAS call,
     and its output is Hermitian as it stands. The readout's complex products
-    are made by the BLAS routine that path uses, over every state at once:
+    are made by the BLAS routine that reference uses, over every state at once:
 
     - ``rho @ proj`` is one zgemv per outcome over all 4N rows of the
       stacked density matrices, each row's dot product the one a 4x4 zgemv

@@ -41,7 +41,7 @@ def config_for(theta, knowledge, mb_sign=+1, **kwargs):
 
 
 def reference_probabilities(theta, meter, gate_model):
-    """The scalar path through validated qcore objects, one state at a time.
+    """The scalar path through qcore's one-state reference, one state at a time.
 
     The batched engine must reproduce it bit for bit: CSV cells print nine
     significant digits, and at small K the estimators' 1/K brings the last
@@ -52,11 +52,11 @@ def reference_probabilities(theta, meter, gate_model):
         state = qcore.apply_cz(joint)
     else:
         emap = reference_effective_map(gate_model.visibility)
-        rho = np.outer(joint.amplitudes, joint.amplitudes.conj())
+        rho = np.outer(joint, joint.conj())
         rho_out = (emap.superoperator @ rho.reshape(16)).reshape(4, 4)
         success = float(np.real(np.trace(rho_out)))
         rho_out = rho_out / success
-        state = qcore.DensityOperator(0.5 * (rho_out + rho_out.conj().T))
+        state = 0.5 * (rho_out + rho_out.conj().T)
     return np.array([qcore.measure_joint(state, m, s) for m, s in (("D", "D"), ("D", "A"), ("A", "D"), ("A", "A"))])
 
 
@@ -74,10 +74,10 @@ BIT_CONTRACT_CASES = _bit_contract_cases()
 
 
 def test_run_at_zero_angle_splits_by_meter_weights():
-    setting = qcore.from_knowledge(K_STRONG)
+    gamma, gamma_bar = qcore.from_knowledge(K_STRONG)
     table = experiment.run(config_for(0.0, K_STRONG))
-    half_g2 = setting.gamma**2 / 2.0
-    half_gb2 = setting.gamma_bar**2 / 2.0
+    half_g2 = gamma**2 / 2.0
+    half_gb2 = gamma_bar**2 / 2.0
     assert table.p_dd == pytest.approx(half_g2, abs=1e-12)
     assert table.p_da == pytest.approx(half_g2, abs=1e-12)
     assert table.p_ad == pytest.approx(half_gb2, abs=1e-12)
@@ -366,7 +366,7 @@ def test_gate_model_rejects_a_visibility_that_is_not_a_real_in_the_unit_interval
 
 
 @pytest.mark.parametrize("knowledge", [1.0 + 0j, "0.5", None, qcore.from_knowledge(K_STRONG)],
-                         ids=["complex", "str", "none", "meter_setting"])
+                         ids=["complex", "str", "none", "gammas"])
 def test_experiment_config_rejects_a_strength_that_is_not_a_real(knowledge):
     # fails at construction, not later in run with a TypeError or AttributeError
     with pytest.raises(ValueError, match=r"\[1e-09, 1\]"):

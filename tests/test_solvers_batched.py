@@ -6,9 +6,9 @@ fidelity, so the predicted-path bisection, the entrywise channel multiplier
 and the closed-form success and fidelity must reproduce the sequential code
 exactly. The references below are the bodies the package had before: a
 bisection with one engine call per step, a grid walk that evaluates one angle
-at a time, a map that rebuilds the network from per-PPBS transmissions and
-its Kraus sums into a 16x16 superoperator with np.kron and a permanent
-block, and a Choi matrix summed from 16 map applications.
+at a time, a map that rebuilds its Kraus sums from the oracles' network
+into a 16x16 superoperator with np.kron and a permanent block, and a Choi
+matrix summed from 16 map applications.
 
 The solvers' closed form B = n.x / d.x and b_max's peak, which `gate`
 prints, are checked against the oracles instead, to 1e-13 at every K.
@@ -114,33 +114,9 @@ def reference_kraus_to_superoperator(kraus):
     return sup
 
 
-# (transmission_h, transmission_v) of the central PPBS and of each compensator
-REFERENCE_CENTRAL = (1.0, 1.0 / 3.0)
-REFERENCE_COMPENSATOR = (1.0 / 3.0, 1.0)
 # modes 0-3: signal H, signal V, meter H, meter V; 4, 5: the signal and meter
 # ancillas. The basis (HH, HV, VH, VV) as (signal mode, meter mode) pairs:
 REFERENCE_BASIS_MODES = ((0, 2), (0, 3), (1, 2), (1, 3))
-
-
-def reference_embed_beamsplitter(u, mode_a, mode_b, transmission):
-    t = np.sqrt(transmission)
-    r = np.sqrt(1.0 - transmission)
-    rows = np.ix_((mode_a, mode_b), range(6))
-    u[rows] = np.array([[t, r], [-r, t]]) @ u[rows]
-
-
-def reference_network():
-    """The network built from per-PPBS transmissions, each polarization split in turn."""
-    u = np.eye(6)
-    reference_embed_beamsplitter(u, 0, 2, REFERENCE_CENTRAL[0])
-    reference_embed_beamsplitter(u, 1, 3, REFERENCE_CENTRAL[1])
-    t_h, t_v = REFERENCE_COMPENSATOR
-    for arm_h, arm_v, loss in ((0, 1, 4), (2, 3, 5)):
-        if t_h < 1.0:
-            reference_embed_beamsplitter(u, arm_h, loss, t_h)
-        if t_v < 1.0:
-            reference_embed_beamsplitter(u, arm_v, loss, t_v)
-    return u
 
 
 def reference_permanent_2x2(u, rows, cols):
@@ -171,8 +147,8 @@ ReferenceMap = namedtuple("ReferenceMap", "visibility superoperator success_prob
 
 
 def reference_effective_map(visibility):
-    """The map with the network and both Kraus sums rebuilt on every call."""
-    network = reference_network()
+    """The map with the oracle network's Kraus sums rebuilt on every call."""
+    network = oracles.ppbs_network()
     coherent = reference_coincidence_block(network)
     direct, exchange = reference_labeled_path_operators(network)
     sup = visibility * reference_kraus_to_superoperator([coherent]) + (1.0 - visibility) * (
@@ -379,8 +355,8 @@ def test_a_numpy_k_reaches_b_max_and_violation_interval_as_its_float():
                 assert arc == experiment.violation_interval(float(knowledge), gate, mb_sign), case
 
 
-def test_network_and_channel_terms_equal_the_per_ppbs_builder():
-    network = reference_network()
+def test_network_and_channel_terms_equal_the_oracle_network():
+    network = oracles.ppbs_network()
     direct, exchange = reference_labeled_path_operators(network)
     coherent = reference_multiplier(reference_kraus_to_superoperator([reference_coincidence_block(network)]))
     labeled = reference_multiplier(reference_kraus_to_superoperator([direct, exchange]))
