@@ -14,7 +14,10 @@ The file holds four things:
   use visibility 0.9.
 - ``startup_ms``: median milliseconds of ``python -m lgi_weaksim`` in a
   fresh interpreter, over 21 runs, for ``gate``, ``--version``, a usage
-  error and, as the control that loads numpy, ``sweep``.
+  error and, as the control that loads numpy, ``sweep``; and, as
+  ``startup.cli_import``, the median of what perfbench's worker times as
+  ``setup_s`` inside a fresh interpreter: importing ``lgi_weaksim.cli`` and
+  building its parser.
 - ``perfbench``: the last JSON line that ``perfbench/run.py --workload all
   --seed 0 --seconds 30`` prints, read as output.
 - ``stamp``: the python and numpy versions, the OpenBLAS core, the
@@ -150,8 +153,10 @@ def in_process() -> dict:
 def startup() -> dict:
     """Median milliseconds of a fresh interpreter running each command, over STARTUP_RUNS runs.
 
-    The commands take turns, one run each per round, as in ``in_process``.
-    A run whose exit code is not the one its command should give raises.
+    The commands take turns, one run each per round, as in ``in_process``,
+    and each round ends with one run of ``perfbench/worker.py ROOT setup``,
+    whose own ``setup_s`` is ``startup.cli_import``. A run whose exit code
+    is not the one its command should give raises.
     """
     with tempfile.TemporaryDirectory() as out_dir:
         out = os.path.join(out_dir, "out.csv")
@@ -162,7 +167,8 @@ def startup() -> dict:
             "startup.sweep": (["sweep", "--out", out, "--quiet"], 0),
         }
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        samples = {name: [] for name in commands}
+        worker = [sys.executable, str(ROOT / "perfbench" / "worker.py"), str(ROOT), "setup"]
+        samples = {name: [] for name in [*commands, "startup.cli_import"]}
         for _ in range(STARTUP_RUNS):
             for name, (argv, code) in commands.items():
                 start = time.perf_counter_ns()
@@ -170,7 +176,9 @@ def startup() -> dict:
                 samples[name].append(time.perf_counter_ns() - start)
                 if result.returncode != code:
                     raise RuntimeError(f"{name} exited {result.returncode}: {result.stderr.decode()}")
-        return {name: statistics.median(samples[name]) / 1e6 for name in commands}
+            result = subprocess.run(worker, env=env, capture_output=True, text=True, check=True)
+            samples["startup.cli_import"].append(json.loads(result.stdout.splitlines()[-1])["setup_s"] * 1e9)
+        return {name: statistics.median(values) / 1e6 for name, values in samples.items()}
 
 
 def perfbench() -> dict:

@@ -26,7 +26,10 @@ package loads none of them, so each caller pays only for what it uses.
 Importing ``cli``, ``experiment`` or ``optics`` does not load numpy either:
 the functions that build arrays import it when they are first called, so
 ``b_max``, ``gate``, ``--help``, ``--version`` and usage errors run without
-it. ``stats`` and ``qcore`` import it on load.
+it. ``stats`` and ``qcore`` import it on load. No module loads
+``dataclasses`` or ``typing``: the value classes (``ExperimentConfig``,
+``GateModel``, ``CountTable``, ...) are named tuples that check their fields
+on every construction path.
 """
 
 __version__ = "0.1.0"

@@ -1,9 +1,11 @@
-"""Domain-specific error types shared across the package, and the two
-domain checks that every entry point applies to its numeric parameters."""
+"""Domain-specific error types shared across the package, the two domain
+checks that every entry point applies to its numeric parameters, and the
+base of the package's validated value classes."""
 
 import math
 import numbers
 import operator
+from collections import namedtuple
 
 
 class DegenerateConditioningError(ValueError):
@@ -61,3 +63,16 @@ def _require_count(value, name: str, low: int = 0, high: float = math.inf) -> in
     if number is None or not low <= number <= high:
         raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
     return number
+
+
+def _value_tuple(name: str, fields: str) -> type:
+    """A namedtuple base for a value class that checks its fields in ``__new__``.
+
+    Its ``_make``, and so ``_replace``, calls ``cls(*iterable)``, and so do
+    ``pickle``, at every protocol, and ``copy``: namedtuple's own ``_make``,
+    and pickle's protocols 0 and 1, build the tuple without ``__new__``.
+    """
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    base.__reduce__ = lambda self: (type(self), tuple(self))
+    return base

@@ -29,16 +29,13 @@ so wherever p_D > 0, B > 1 exactly when mb_sign * wv > 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, lru_cache
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, NamedTuple
 
 from . import optics
 from .errors import DegenerateConditioningError, ZeroStrengthError, _real_or_nan, _require_count, _require_real
-
-if TYPE_CHECKING:
-    import numpy as np
+from .errors import _value_tuple
 
 # Estimators divide by K; below this guard the calibration is undefined.
 MIN_KNOWLEDGE = 1e-9
@@ -54,77 +51,76 @@ _DECIDE_MARGIN = 2.0**10 * math.ulp(1.0)  # / K: over 16 times the engine's erro
 _REFINE_XTOL = 1e-10         # bisection angular resolution
 _BISECT_RTOL = 4.0 * math.ulp(1.0)      # scipy.optimize.bisect's default rtol, 4 eps
 _PEAK_ROUNDOFF = 16.0 * math.ulp(1.0)   # / K bounds the engine's round-off in B at the peak, measured below 6 eps/K
+_BMAX_ROUNDOFF = 4.0 * math.ulp(1.0)    # bounds b_max's round-off at every K, measured below 1.5 eps
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class GateModel:
-    """Gate selection: exact controlled-sign unitary or the PPBS model."""
+class GateModel(_value_tuple("GateModel", "kind visibility")):
+    """Gate selection: exact controlled-sign unitary or the PPBS model.
 
-    kind: str = "ideal"            # "ideal" or "ppbs"
-    visibility: float | None = None  # photon indistinguishability, ppbs only
+    A validated named tuple, like every value class here: it unpacks,
+    indexes and equals the tuple of its fields, refuses attribute assignment
+    and checks ``_replace``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("ideal", "ppbs"):
-            raise ValueError(f"gate model kind must be 'ideal' or 'ppbs', got {self.kind!r}")
-        if self.kind == "ideal":
-            if self.visibility is not None:
+    __slots__ = ()
+
+    def __new__(cls, kind: str = "ideal", visibility: float | None = None):
+        # visibility, the photon indistinguishability, applies to ppbs only
+        if kind not in ("ideal", "ppbs"):
+            raise ValueError(f"gate model kind must be 'ideal' or 'ppbs', got {kind!r}")
+        if kind == "ideal":
+            if visibility is not None:
                 raise ValueError("visibility applies only to the ppbs gate model")
         else:
-            vis = 1.0 if self.visibility is None else _require_real(self.visibility, "visibility", 0, 1)
-            object.__setattr__(self, "visibility", vis)
+            visibility = 1.0 if visibility is None else _require_real(visibility, "visibility", 0, 1)
+        return super().__new__(cls, kind, visibility)
 
 
 IDEAL_GATE = GateModel()
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_value_tuple("ExperimentConfig", "theta knowledge mb_sign gate_model")):
     """One protocol setting: preparation angle, measurement strength K, conventions.
 
-    Raises ZeroStrengthError for K below 1e-9, ValueError for any other K
-    outside [1e-9, 1] (NaN and non-reals included), for a theta that is
-    not a finite real, for an mb_sign that is not the integer +1 or -1 (it
-    is held as an int) and for a gate_model that is not a GateModel.
+    A validated named tuple. Raises ZeroStrengthError for K below 1e-9,
+    ValueError for any other K outside [1e-9, 1] (NaN and non-reals
+    included), for a theta that is not a finite real, for an mb_sign that is
+    not the integer +1 or -1 (it is held as an int) and for a gate_model
+    that is not a GateModel.
     """
 
-    theta: float
-    knowledge: float                  # K in [1e-9, 1]
-    mb_sign: int = +1                 # Mb = +S1 or -S1
-    gate_model: GateModel = IDEAL_GATE
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", _require_real(self.theta, "theta"))
-        object.__setattr__(self, "knowledge", _require_strength(self.knowledge))
-        object.__setattr__(self, "mb_sign", _require_sign(self.mb_sign))
-        if not isinstance(self.gate_model, GateModel):
-            raise ValueError(f"gate_model must be a GateModel, got {self.gate_model!r}")
+    def __new__(cls, theta: float, knowledge: float, mb_sign: int = +1, gate_model: GateModel = IDEAL_GATE):
+        fields = _require_real(theta, "theta"), _require_strength(knowledge), _require_sign(mb_sign), gate_model
+        if not isinstance(gate_model, GateModel):
+            raise ValueError(f"gate_model must be a GateModel, got {gate_model!r}")
+        return super().__new__(cls, *fields)
 
 
-@dataclass(frozen=True)
-class ProbabilityTable:
+class ProbabilityTable(_value_tuple("ProbabilityTable", "p_dd p_da p_ad p_aa")):
     """Joint outcome probabilities; first index meter D/A, second signal D/A.
 
-    Raises ValueError unless each lies in [0, 1] and they sum to 1, within 1e-12.
+    A validated named tuple. Raises ValueError unless each lies in [0, 1]
+    and they sum to 1, within 1e-12.
     """
 
-    p_dd: float
-    p_da: float
-    p_ad: float
-    p_aa: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("p_dd", "p_da", "p_ad", "p_aa"):
-            object.__setattr__(self, name, _require_real(getattr(self, name), name, -1e-12, 1.0 + 1e-12))
+    def __new__(cls, p_dd: float, p_da: float, p_ad: float, p_aa: float):
+        self = super().__new__(cls, *(_require_real(value, name, -1e-12, 1.0 + 1e-12) for value, name in
+                                      zip((p_dd, p_da, p_ad, p_aa), cls._fields)))
         total = self.as_array().sum()
         if abs(float(total) - 1.0) > 1e-12:
             raise ValueError(f"probabilities must sum to 1, got {total!r}")
+        return self
 
     def as_array(self) -> np.ndarray:
         import numpy as np
 
-        return np.array([self.p_dd, self.p_da, self.p_ad, self.p_aa])
+        return np.array(self)
 
     @property
     def postselect_d(self) -> float:
@@ -132,22 +128,18 @@ class ProbabilityTable:
         return self.p_dd + self.p_ad
 
 
-@dataclass(frozen=True)
-class ThetaGrid:
+class ThetaGrid(_value_tuple("ThetaGrid", "start stop steps")):
     """Uniform inclusive angle grid.
 
-    ValueError unless the ends are finite reals and steps an integer in
-    [2, MAX_THETA_STEPS].
+    A validated named tuple. ValueError unless the ends are finite reals and
+    steps an integer in [2, MAX_THETA_STEPS].
     """
 
-    start: float
-    stop: float
-    steps: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "start", _require_real(self.start, "grid start"))
-        object.__setattr__(self, "stop", _require_real(self.stop, "grid stop"))
-        object.__setattr__(self, "steps", _require_count(self.steps, "grid steps", 2, MAX_THETA_STEPS))
+    def __new__(cls, start: float, stop: float, steps: int):
+        return super().__new__(cls, _require_real(start, "grid start"), _require_real(stop, "grid stop"),
+                               _require_count(steps, "grid steps", 2, MAX_THETA_STEPS))
 
     def values(self) -> np.ndarray:
         import numpy as np
@@ -321,19 +313,16 @@ def run(config: ExperimentConfig) -> ProbabilityTable:
     return ProbabilityTable(*row.tolist())
 
 
-class Estimates(NamedTuple):
+class Estimates(namedtuple("Estimates", "s1 s2 s1s2 b psel wv")):
     """Every estimator of one setting, or arrays of them over a sweep's angles.
 
-    b follows the setting's mb_sign; wv is the weak value of S1 itself, so
-    B(+S1) > 1 where wv > 1 and B(-S1) > 1 where wv < -1.
+    b follows the setting's mb_sign; psel is the probability of
+    post-selecting the signal in D and wv the weak value of S1 itself on
+    that branch, NaN if degenerate, so B(+S1) > 1 where wv > 1 and
+    B(-S1) > 1 where wv < -1.
     """
 
-    s1: float | np.ndarray
-    s2: float | np.ndarray
-    s1s2: float | np.ndarray
-    b: float | np.ndarray
-    psel: float | np.ndarray       # probability of post-selecting the signal in D
-    wv: float | np.ndarray         # S1 weak value on that branch; NaN if degenerate
+    __slots__ = ()
 
 
 def _lg_terms(p_dd, p_da, p_ad, p_aa, knowledge: float, mb_sign: int = +1) -> tuple:

@@ -26,12 +26,8 @@ from __future__ import annotations
 
 from functools import cache
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from .errors import UnreachableTargetError, _require_real
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @cache
@@ -104,9 +100,11 @@ def fit_visibility(target_bmax: float, knowledge: float, tol: float = 1e-6) -> f
     target where p0 + |(p1, p2)| = 0: a quadratic in xi. Raises
     :class:`UnreachableTargetError` when the target lies outside the closed
     range [b_max(visibility=0), b_max(visibility=1)] for this K, widened by
-    tol plus the peak's round-off 16 eps/K; a target that close to an end of
-    the range returns that end. Raises ValueError unless target_bmax is a
-    finite real and tol a finite nonnegative real.
+    tol plus b_max's round-off, 4 eps at every K; a target that close to an
+    end of the range returns that end, and so does a target whose
+    quadratic has only round-off roots, which returns the nearer end.
+    Raises ValueError unless target_bmax is a finite real and tol a finite
+    nonnegative real.
     """
     from . import experiment  # local import; experiment depends on this module
 
@@ -116,10 +114,8 @@ def fit_visibility(target_bmax: float, knowledge: float, tol: float = 1e-6) -> f
 
     gates = [experiment.GateModel(kind="ppbs", visibility=xi) for xi in (0.0, 1.0)]
     b_lo, b_hi = (experiment.b_max(knowledge, gate)[1] for gate in gates)
-    # near xi = 0 the peak can grow only as xi^2, so there the quadratic has a
-    # near-double root and its roots are round-off; the slack, the engine's
-    # round-off in B at the peak, also accepts a target read off the engine's B
-    slack = tol + experiment._PEAK_ROUNDOFF / knowledge
+    # b_max is exact to a few eps, so that is all the slack a target read off it needs
+    slack = tol + experiment._BMAX_ROUNDOFF
     if not b_lo - slack <= target_bmax <= b_hi + slack:
         raise UnreachableTargetError(
             f"target b_max {target_bmax!r} unreachable; "
@@ -135,5 +131,9 @@ def fit_visibility(target_bmax: float, knowledge: float, tol: float = 1e-6) -> f
     # p0 < 0 where the peak meets the target, p0 > 0 where the minimum does;
     # the peak's root nearest the middle is the one in [0, 1]
     peaks = [xi for xi in experiment._null_points(u, w) if u[0] + xi * w[0] <= 0.0]
+    if not peaks:
+        # near xi = 0 the peak can grow as xi^2, so there the quadratic has a
+        # near-double root, and round-off can leave no root on the peak's branch
+        return 0.0 if target_bmax - b_lo <= b_hi - target_bmax else 1.0
     xi = min(peaks, key=lambda root: abs(root - 0.5))
     return min(max(xi, 0.0), 1.0)

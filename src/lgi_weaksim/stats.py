@@ -9,12 +9,13 @@ treating each count as Poisson with variance equal to the observed count
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 import numpy as np
 
 from . import experiment
 from .errors import InsufficientPostselectionError, UndefinedSignificanceError, _require_count, _require_real
+from .errors import _value_tuple
 
 # Nominal 95% two-sided interval half-width in units of sigma.
 COVERAGE_Z = 1.96
@@ -25,41 +26,38 @@ MAX_PAIRS = 2**53
 MAX_TRIALS = 1_000_000
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(_value_tuple("CountTable", "n_dd n_da n_ad n_aa")):
     """Observed coincidence counts in the (meter, signal) D/A outcome order.
 
-    ValueError unless each is a nonnegative integer and the total lies in [1, 2**53].
+    A validated named tuple, like every value class here: it unpacks,
+    indexes and equals the tuple of its fields, refuses attribute assignment
+    and checks ``_replace``. ValueError unless each is a nonnegative integer
+    and the total lies in [1, 2**53].
     """
 
-    n_dd: int
-    n_da: int
-    n_ad: int
-    n_aa: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("n_dd", "n_da", "n_ad", "n_aa"):
-            object.__setattr__(self, name, _require_count(getattr(self, name), name))
+    def __new__(cls, n_dd: int, n_da: int, n_ad: int, n_aa: int):
+        self = super().__new__(cls, *(_require_count(value, name) for value, name in
+                                      zip((n_dd, n_da, n_ad, n_aa), cls._fields)))
         _require_count(self.total, "total count", 1, MAX_PAIRS)
+        return self
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.n_dd, self.n_da, self.n_ad, self.n_aa], dtype=float)
+        return np.array(self, dtype=float)
 
     @property
     def total(self) -> int:
         return self.n_dd + self.n_da + self.n_ad + self.n_aa
 
 
-@dataclass(frozen=True)
-class EstimateWithError:
+class EstimateWithError(_value_tuple("EstimateWithError", "value sigma")):
     """Point estimate with a one-sigma propagated standard error; ValueError unless finite with sigma >= 0."""
 
-    value: float
-    sigma: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", _require_real(self.value, "estimate"))
-        object.__setattr__(self, "sigma", _require_real(self.sigma, "sigma", 0))
+    def __new__(cls, value: float, sigma: float):
+        return super().__new__(cls, _require_real(value, "estimate"), _require_real(sigma, "sigma", 0))
 
 
 def _require_pairs(n_pairs: int) -> int:
@@ -67,49 +65,39 @@ def _require_pairs(n_pairs: int) -> int:
     return _require_count(n_pairs, "n_pairs", 1, MAX_PAIRS)
 
 
-@dataclass(frozen=True)
-class TrialPlan:
+class TrialPlan(_value_tuple("TrialPlan", "n_pairs n_trials master_seed")):
     """Monte Carlo schedule: pairs per trial, trial count, master seed.
 
-    Raises ValueError unless each is an integer, 1 <= n_pairs <= 2**53,
-    1 <= n_trials <= 10**6 and master_seed >= 0.
+    A validated named tuple. Raises ValueError unless each is an integer,
+    1 <= n_pairs <= 2**53, 1 <= n_trials <= 10**6 and master_seed >= 0.
     """
 
-    n_pairs: int
-    n_trials: int
-    master_seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n_pairs", _require_pairs(self.n_pairs))
-        object.__setattr__(self, "n_trials", _require_count(self.n_trials, "n_trials", 1, MAX_TRIALS))
-        object.__setattr__(self, "master_seed", _require_count(self.master_seed, "master_seed"))
+    def __new__(cls, n_pairs: int, n_trials: int, master_seed: int = 0):
+        return super().__new__(cls, _require_pairs(n_pairs), _require_count(n_trials, "n_trials", 1, MAX_TRIALS),
+                               _require_count(master_seed, "master_seed"))
 
 
-@dataclass(frozen=True, eq=False)
-class TrialSummary:
+class TrialSummary(namedtuple("TrialSummary", "true_b b b_sigma wv wv_sigma mean_b mean_sigma spread coverage")):
     """Ensemble summary of repeated finite-count estimates of B.
 
-    Per-trial results are arrays indexed by trial. ``wv`` and ``wv_sigma``
-    are NaN for trials whose post-selection retained no events.
+    A named tuple; b, b_sigma, wv and wv_sigma are arrays indexed by trial,
+    wv and wv_sigma NaN for trials whose post-selection retained no events.
+    spread is the B estimates' sample standard deviation (ddof=1), coverage
+    the fraction of trials whose 1.96-sigma interval covers true_b. Equality
+    holds NaN equal to NaN; holding arrays, it has no hash.
     """
 
-    true_b: float
-    b: np.ndarray
-    b_sigma: np.ndarray
-    wv: np.ndarray
-    wv_sigma: np.ndarray
-    mean_b: float
-    mean_sigma: float
-    spread: float          # sample standard deviation of the B estimates (ddof=1)
-    coverage: float        # fraction of trials whose 1.96-sigma interval covers true_b
+    __slots__ = ()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrialSummary):
             return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name), equal_nan=True)
-            for f in fields(self)
-        )
+        return all(np.array_equal(mine, theirs, equal_nan=True) for mine, theirs in zip(self, other))
+
+    def __ne__(self, other: object) -> bool:  # tuple's own would compare the arrays elementwise
+        return not self == other
 
 
 def sample_counts(

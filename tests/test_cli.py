@@ -311,17 +311,19 @@ def test_mc_rerun_summary_and_error_columns(tmp_path):
     assert 0.0 <= summary["coverage"] <= 1.0
 
 
-def _after_cli_import(probe):
-    """What `probe` prints in a fresh interpreter that has imported the CLI."""
+def _in_fresh_interpreter(code):
+    """What `code` prints in a fresh interpreter that can import this package."""
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys, lgi_weaksim.cli; " + probe],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
+
+
+def _after_cli_import(probe):
+    """What `probe` prints in a fresh interpreter that has imported the CLI."""
+    return _in_fresh_interpreter("import sys, lgi_weaksim.cli; " + probe)
 
 
 def _loaded_by_cli_import(names):
@@ -338,6 +340,16 @@ def test_cli_import_leaves_process_pools_unloaded():
     # mc samples in-process; a worker pool's import and start-up would show in
     # every invocation's time
     assert _loaded_by_cli_import(["multiprocessing", "concurrent.futures"]) == "[]"
+
+
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect_nor_typing(tmp_path):
+    # the value classes are named tuples: dataclasses, with the inspect it
+    # loads, cost about 9 ms of every fresh process. The modules are diffed,
+    # so that what the host's site preloads (typing, say) does not count
+    code = ("import sys; before = set(sys.modules); import lgi_weaksim.cli; lgi_weaksim.cli.build_parser(); "
+            f"code = lgi_weaksim.cli.main(['gate', '--out', {str(tmp_path / 'gate.csv')!r}, '--quiet']); "
+            "print(code, sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))")
+    assert _in_fresh_interpreter(code) == "0 []"
 
 
 def test_cli_import_and_parser_leave_qcore_and_stats_unloaded():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from lgi_weaksim import experiment, optics, qcore
@@ -229,6 +229,7 @@ def test_fit_visibility_builds_no_gate_map():
 
 
 @given(st.floats(-9.0, 0.0), visibilities)
+@example(-9.0, 5e-6)   # a slack of 16 eps/K snapped this target, 2.07e-6 above b_max(visibility=0), to 0
 @settings(deadline=None, max_examples=200)
 def test_fit_visibility_round_trips_over_the_whole_domain_with_zero_tol(log_k, xi):
     knowledge = max(10.0**log_k, experiment.MIN_KNOWLEDGE)
@@ -236,7 +237,7 @@ def test_fit_visibility_round_trips_over_the_whole_domain_with_zero_tol(log_k, x
     fitted = optics.fit_visibility(target, knowledge, tol=0.0)
     assert type(fitted) is float and 0.0 <= fitted <= 1.0
     reached = experiment.b_max(knowledge, experiment.GateModel(kind="ppbs", visibility=fitted))[1]
-    slack = experiment._PEAK_ROUNDOFF / knowledge
+    slack = experiment._BMAX_ROUNDOFF
     ends = {end: experiment.b_max(knowledge, experiment.GateModel(kind="ppbs", visibility=end))[1]
             for end in (0.0, 1.0)}
     near = [end for end, peak in ends.items() if abs(target - peak) <= slack]
@@ -253,19 +254,33 @@ def test_fit_visibility_endpoint_returns_unity():
 
 
 @pytest.mark.parametrize("knowledge, xi", [
-    # the quadratic's roots are round-off here, and none lies on the peak's branch
+    # targets that b_max's engine-based search misplaced near the ends of
+    # the range: 2e-13 above b_max(visibility=0), where the quadratic's roots
+    # once were round-off with none on the peak's branch,
     (1.652394712316554e-08, 5.511704740692165e-13),
-    # round-off put the target 2e-15 above b_max(visibility=1)
+    # 2e-15 above b_max(visibility=1)
     (6.777931354613022e-08, 0.9999999999999931),
     # and 1e-12 below b_max(visibility=0)
     (1.2063713241572562e-05, 8.67544739528498e-16),
+    # a slack of 16 eps/K once snapped this target, 2.07e-6 above b_max(visibility=0), to 0
+    (1e-9, 5e-6),
 ])
 def test_fit_visibility_round_trips_near_the_ends_with_zero_tol(knowledge, xi):
     target = experiment.b_max(knowledge, experiment.GateModel(kind="ppbs", visibility=xi))[1]
     fitted = optics.fit_visibility(target, knowledge, tol=0.0)
     assert type(fitted) is float and 0.0 <= fitted <= 1.0
     reached = experiment.b_max(knowledge, experiment.GateModel(kind="ppbs", visibility=fitted))[1]
-    assert abs(reached - target) <= 1e-8 + 1e-13 / knowledge
+    assert abs(reached - target) <= 1e-13
+
+
+@pytest.mark.parametrize("share, end", [(0.25, 0.0), (0.75, 1.0)])
+def test_fit_visibility_returns_the_nearer_end_when_no_root_is_on_the_peaks_branch(monkeypatch, share, end):
+    # round-off can leave the quadratic with no root where the peak meets the target
+    peaks = {xi: experiment.b_max(K_STRONG, experiment.GateModel(kind="ppbs", visibility=xi)) for xi in (0.0, 1.0)}
+    b_lo, b_hi = peaks[0.0][1], peaks[1.0][1]
+    monkeypatch.setattr(experiment, "b_max", lambda knowledge, gate: peaks[gate.visibility])
+    monkeypatch.setattr(experiment, "_null_points", lambda u, w: [])
+    assert optics.fit_visibility(b_lo + share * (b_hi - b_lo), K_STRONG) == end
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf, "1", None, 1j, 10**400])
