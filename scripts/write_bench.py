@@ -5,7 +5,7 @@ Run from any directory; the package under this checkout's ``src`` is timed:
 
     python scripts/write_bench.py --out BENCH_<n>.json
 
-The file holds four things:
+The file holds five things:
 
 - ``in_process_ms``: median milliseconds per call, over 101 calls after
   one warm-up call, for each layer of the simulator and each CLI
@@ -18,6 +18,11 @@ The file holds four things:
   ``startup.cli_import``, the median of what perfbench's worker times as
   ``setup_s`` inside a fresh interpreter: importing ``lgi_weaksim.cli`` and
   building its parser.
+- ``peak_rss_mb``: the median, over 5 runs, of the peak resident memory
+  (``ru_maxrss``) of a fresh interpreter that imports the CLI and runs one
+  command: a ppbs ``sweep`` and ``fig2`` at 100000 steps, ``mc`` at 100000
+  trials and, as the control that loads no numpy and writes one row,
+  ``gate``.
 - ``perfbench``: the last JSON line that ``perfbench/run.py --workload all
   --seed 0 --seconds 30`` prints, read as output.
 - ``stamp``: the python and numpy versions, the OpenBLAS core, the
@@ -70,6 +75,8 @@ VISIBILITY = 0.9
 SCALED_STEPS = "4096"
 REPEATS = 101
 STARTUP_RUNS = 21
+PEAK_RSS_RUNS = 5
+PEAK_RSS_LAUNCHER = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
 PERFBENCH_SECONDS = 30.0    # the benchmark's run length per workload
 
 
@@ -181,6 +188,41 @@ def startup() -> dict:
         return {name: statistics.median(values) / 1e6 for name, values in samples.items()}
 
 
+def peak_rss() -> dict:
+    """Median peak resident megabytes of a fresh interpreter running each command, over PEAK_RSS_RUNS runs.
+
+    The child reports its own ``ru_maxrss`` (kilobytes on Linux) after the
+    command returns; a run that does not exit 0 raises. A child started
+    from this process, which holds numpy, would count this process's
+    resident size in its high-water mark, which fork and exec carry over, so
+    each child is started from a small launcher interpreter instead.
+    """
+    with tempfile.TemporaryDirectory() as out_dir:
+        out = os.path.join(out_dir, "out.csv")
+        commands = {
+            "peak_rss.gate": ["gate", "--out", out],
+            "peak_rss.sweep.ppbs.100000_steps": ["sweep", "--gate", "ppbs", "--theta-steps", "100000",
+                                                 "--out", out],
+            "peak_rss.fig2.100000_steps": ["fig2", "--theta-steps", "100000",
+                                           "--out-prefix", os.path.join(out_dir, "fig2")],
+            "peak_rss.mc.100000_trials": ["mc", "--theta", repr(7.0 * math.pi / 4.0), "--trials", "100000",
+                                          "--out", out],
+        }
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        samples = {name: [] for name in commands}
+        for _ in range(PEAK_RSS_RUNS):
+            for name, argv in commands.items():
+                code = ("import resource, sys; from lgi_weaksim import cli; "
+                        f"code = cli.main({[*argv, '--quiet']!r}); "
+                        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)")
+                launched = [sys.executable, "-S", "-c", PEAK_RSS_LAUNCHER, sys.executable, "-c", code]
+                result = subprocess.run(launched, env=env, capture_output=True, text=True)
+                if result.returncode != 0:
+                    raise RuntimeError(f"{name} exited {result.returncode}: {result.stderr}")
+                samples[name].append(int(result.stdout.split()[-1]) / 1024)
+        return {name: statistics.median(values) for name, values in samples.items()}
+
+
 def perfbench() -> dict:
     """The verdict line of one benchmark run over every workload at seed 0."""
     command = [sys.executable, str(ROOT / "perfbench" / "run.py"),
@@ -237,7 +279,8 @@ def main(argv=None):
     parser.add_argument("--out", required=True, help="output JSON path")
     args = parser.parse_args(argv)
 
-    bench = {"stamp": stamp(), "in_process_ms": in_process(), "startup_ms": startup(), "perfbench": perfbench()}
+    bench = {"stamp": stamp(), "in_process_ms": in_process(), "startup_ms": startup(), "peak_rss_mb": peak_rss(),
+             "perfbench": perfbench()}
     with open(args.out, "w", encoding="utf-8") as stream:
         json.dump(bench, stream, indent=1, sort_keys=True)
         stream.write("\n")

@@ -16,6 +16,11 @@ one of them starts in about half the time. No command loads dataclasses,
 inspect or typing: the library's value classes are named tuples, so this
 module and its parser load in about 6 ms with cached bytecode.
 
+Every command writes through one streaming writer. Rows are made and
+written 256 angles or trials at a time, so a sweep's memory does not grow
+with its length, and they go to temp files that replace their targets only
+after the last block, so a failure leaves every target as it was.
+
 Every file starts with a '#'-commented manifest recording the version, the
 subcommand and every flag except --quiet, with its resolved value (sweep's
 ppbs visibility after its default, each fig2 file's own sign, gate and path,
@@ -29,9 +34,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 
 from . import __version__, experiment, optics
 from .errors import _require_count, _require_real
@@ -42,6 +49,12 @@ MANIFEST_HEADER = "# lgi-weaksim manifest v1"
 GATE_REFERENCE_K = 0.5445
 
 _TWO_PI = 2.0 * math.pi
+
+# rows are made and written this many angles or trials at a time, so that a
+# command's memory does not grow with its row count (the engine's rows do
+# not depend on how the angles are batched); with 512, the benchmark's
+# 4096-angle sweeps peaked 0.5 MB higher
+_BLOCK_ROWS = 256
 
 _SWEEP_COLUMNS = (
     "theta_rad", "k", "mb_sign",
@@ -77,20 +90,40 @@ def _manifest(args: argparse.Namespace, **resolved: object) -> list[str]:
     return lines
 
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp_path = os.path.join(directory, f".lgi-weaksim-{os.urandom(8).hex()}.tmp")
+def _write_atomic(paths: tuple[str, ...], pieces: Iterable[tuple[str, ...]]) -> None:
+    """Write each of ``paths`` from ``pieces``, tuples holding one text per path, as they come.
+
+    Each file goes to a temp file in its target's directory, and the temp
+    files replace their targets only after the last piece. On any exception,
+    one raised while the pieces are made included, every temp file is
+    removed; an OSError names the path it was writing.
+    """
+    tmp_paths, streams = [], []
     try:
-        # mode "x" never opens an existing file, and creates the new one with
-        # the mode open(path, "w") would give it; os.replace keeps that mode
-        stream = open(tmp_path, "x", encoding="utf-8", newline="\n")
         try:
-            with stream:
-                stream.write(text)
-            os.replace(tmp_path, path)
+            for path in paths:
+                tmp_path = os.path.join(os.path.dirname(os.path.abspath(path)),
+                                        f".lgi-weaksim-{os.urandom(8).hex()}.tmp")
+                # mode "x" never opens an existing file, and creates the new one
+                # with the mode open(path, "w") would give it; os.replace keeps that mode
+                streams.append(open(tmp_path, "x", encoding="utf-8", newline="\n"))
+                tmp_paths.append(tmp_path)
+            for texts in pieces:
+                for path, stream, text in zip(paths, streams, texts):
+                    stream.write(text)
+            for path, stream in zip(paths, streams):
+                stream.close()
+            for path, tmp_path in zip(paths, tmp_paths):
+                os.replace(tmp_path, path)
         except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
+            for stream in streams:
+                try:
+                    stream.close()
+                except OSError:  # a failed last flush still closes the file, which is removed next
+                    pass
+            for tmp_path in tmp_paths:
+                if os.path.exists(tmp_path):
+                    os.unlink(tmp_path)
             raise
     except OSError as exc:
         # the temp file's random name means nothing to the user; name their path
@@ -98,64 +131,76 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _emit_csv(
-    path: str,
-    manifest: list[str],
+    paths: tuple[str, ...],
+    manifests: tuple[list[str], ...],
     header: tuple[str, ...] | list[str],
-    rows: list[str],
-    trailer: list[str] | None = None,
+    blocks: Iterable[tuple[str, ...]],
+    n_rows: int,
+    trailer: Iterable[str] = (),
     quiet: bool = False,
 ) -> None:
-    lines = list(manifest)
-    lines.append(",".join(header))
-    lines.extend(rows)
-    if trailer:
-        lines.extend(trailer)
-    _write_atomic(path, "\n".join(lines) + "\n")
+    """Write one CSV per path: its manifest, the header, its rows and the trailer.
+
+    ``blocks`` yields tuples holding one text of whole rows per path, each
+    row ending in a newline; each is written before the next is made.
+    """
+    head = ",".join(header) + "\n"
+    heads = tuple("\n".join([*manifest, head]) for manifest in manifests)
+    tail = "\n".join([*trailer, ""])
+    _write_atomic(paths, itertools.chain((heads,), blocks, ((tail,) * len(paths),)))
     if not quiet:
-        print(f"wrote {path} ({len(rows)} rows)")
+        for path in paths:
+            print(f"wrote {path} ({n_rows} rows)")
 
 
-def _sweep_tables(
+def _sweep_header(degrees: bool) -> list[str]:
+    header = list(_SWEEP_COLUMNS)
+    if degrees:
+        header[0] = "theta_deg"
+    return header
+
+
+def _sweep_blocks(
     k: float,
     mb_signs: tuple[int, ...],
     gate_model: experiment.GateModel,
     steps: int,
     degrees: bool,
-) -> tuple[list[str], list[list[str]]]:
-    """The sweep header and one list of rows per sign in ``mb_signs``.
+) -> Iterator[tuple[str, ...]]:
+    """The sweep's rows, _BLOCK_ROWS angles at a time: per block, one text per sign in ``mb_signs``.
 
-    One engine call serves every sign. Only the mb_sign and b cells depend
-    on the sign, so the first sign's rows are formatted whole and each
-    further sign's rows are those rows with these two cells replaced.
+    One engine call per block serves every sign. Only the mb_sign and b
+    cells depend on the sign, so the first sign's rows are formatted whole
+    and each further sign's rows are those rows with these two cells
+    replaced.
     """
     import numpy as np
 
-    header = list(_SWEEP_COLUMNS)
-    if degrees:
-        header[0] = "theta_deg"
     thetas = np.linspace(0.0, _TWO_PI, steps)
-    probs = experiment._probability_matrix(thetas, k, gate_model)
     first, *others = mb_signs
-    # the wv column is the S1 weak value; mb_sign affects b only
-    est = experiment._estimates(*probs.T, k, first)
-    values = np.column_stack([probs, est.s1, est.s2, est.s1s2, est.b, est.wv, est.psel])
     # one %-format per row; the fixed k and mb_sign cells are escaped into it
     k_text = _format_real(k)
     fixed = f"{k_text},{first}".replace("%", "%%")
-    row_format = ",".join(["%.9g", fixed] + ["%.9g"] * values.shape[1])
-    angles = (np.degrees(thetas) if degrees else thetas).tolist()
-    rows = [row_format % (angle, *row) for angle, row in zip(angles, values.tolist())]
-    tables = [rows]
-    for mb_sign in others:
-        # the theta cell holds no comma, so the first match is the k and mb_sign cells
-        old, new = f",{k_text},{first},", f",{k_text},{mb_sign},"
-        b = experiment._lg_terms(*probs.T, k, mb_sign)[3].tolist()
-        signed = []
-        for row, value in zip(rows, b):
-            head, _, wv, psel = row.rsplit(",", 3)
-            signed.append("%s,%.9g,%s,%s" % (head.replace(old, new, 1), value, wv, psel))
-        tables.append(signed)
-    return header, tables
+    row_format = ",".join(["%.9g", fixed] + ["%.9g"] * (len(_SWEEP_COLUMNS) - 3)) + "\n"
+    # the theta cell holds no comma, so the first match is the k and mb_sign cells
+    swaps = [(mb_sign, f",{k_text},{first},", f",{k_text},{mb_sign},") for mb_sign in others]
+    for start in range(0, steps, _BLOCK_ROWS):
+        block = thetas[start:start + _BLOCK_ROWS]
+        probs = experiment._probability_matrix(block, k, gate_model)
+        # the wv column is the S1 weak value; mb_sign affects b only
+        est = experiment._estimates(*probs.T, k, first)
+        values = np.column_stack([probs, est.s1, est.s2, est.s1s2, est.b, est.wv, est.psel])
+        angles = (np.degrees(block) if degrees else block).tolist()
+        rows = [row_format % (angle, *row) for angle, row in zip(angles, values.tolist())]
+        texts = ["".join(rows)]
+        for mb_sign, old, new in swaps:
+            b = experiment._lg_terms(*probs.T, k, mb_sign)[3].tolist()
+            signed = []
+            for row, value in zip(rows, b):
+                head, _, wv, psel = row.rsplit(",", 3)
+                signed.append("%s,%.9g,%s,%s" % (head.replace(old, new, 1), value, wv, psel))
+            texts.append("".join(signed))
+        yield tuple(texts)
 
 
 def _flag_type(parse, check, *domain):
@@ -209,17 +254,18 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         gate_model = experiment.GateModel(kind=args.gate, visibility=args.visibility)
     except ValueError as exc:  # --visibility with the ideal gate; parser is sweep's own
         parser.error(f"argument --visibility: {exc}")
-    header, (rows,) = _sweep_tables(args.k, (args.mb_sign,), gate_model, args.theta_steps, args.degrees)
-    _emit_csv(args.out, _manifest(args, visibility=gate_model.visibility), header, rows, quiet=args.quiet)
+    blocks = _sweep_blocks(args.k, (args.mb_sign,), gate_model, args.theta_steps, args.degrees)
+    _emit_csv((args.out,), (_manifest(args, visibility=gate_model.visibility),), _sweep_header(args.degrees),
+              blocks, args.theta_steps, quiet=args.quiet)
     return 0
 
 
 def _cmd_fig2(args: argparse.Namespace) -> int:
     signs = (+1, -1)
-    header, tables = _sweep_tables(args.k, signs, experiment.IDEAL_GATE, args.theta_steps, args.degrees)
-    for mb_sign, suffix, rows in zip(signs, "ab", tables):
-        path = f"{args.out}_{suffix}.csv"
-        _emit_csv(path, _manifest(args, mb_sign=mb_sign, gate="ideal", out=path), header, rows, quiet=args.quiet)
+    paths = tuple(f"{args.out}_{suffix}.csv" for suffix in "ab")
+    manifests = tuple(_manifest(args, mb_sign=sign, gate="ideal", out=path) for sign, path in zip(signs, paths))
+    blocks = _sweep_blocks(args.k, signs, experiment.IDEAL_GATE, args.theta_steps, args.degrees)
+    _emit_csv(paths, manifests, _sweep_header(args.degrees), blocks, args.theta_steps, quiet=args.quiet)
     return 0
 
 
@@ -233,30 +279,33 @@ def _interval_comment(label: str, interval: tuple[float, float] | None) -> str:
     )
 
 
-def _cmd_fig3(args: argparse.Namespace) -> int:
+def _fig3_blocks(k_list: list[float], mb_sign: int, steps: int, degrees: bool) -> Iterator[tuple[str]]:
+    """fig3's rows, _BLOCK_ROWS angles at a time: the angle, B at each strength, then the K=0 limit."""
     import numpy as np
 
+    thetas = np.linspace(0.0, _TWO_PI, steps)
+    row_format = ",".join(["%.9g"] * (len(k_list) + 2)) + "\n"
+    for start in range(0, steps, _BLOCK_ROWS):
+        block = thetas[start:start + _BLOCK_ROWS]
+        columns = [np.degrees(block) if degrees else block]
+        for k in k_list:
+            probs = experiment._probability_matrix(block, k, experiment.IDEAL_GATE)
+            columns.append(experiment._lg_terms(*probs.T, k, mb_sign)[3])
+        # zero-strength limit is analytic; the 1/K calibration forbids simulating K=0
+        columns.append(mb_sign * np.cos(block) - np.sin(block))
+        yield ("".join([row_format % row for row in zip(*(col.tolist() for col in columns))]),)
+
+
+def _cmd_fig3(args: argparse.Namespace) -> int:
     k_list, mb_sign = args.k_list, args.mb_sign
-    thetas = np.linspace(0.0, _TWO_PI, args.theta_steps)
-    header = ["theta_deg" if args.degrees else "theta_rad"]
-    columns = [np.degrees(thetas) if args.degrees else thetas]
-    trailer = []
-    for k in k_list:
-        probs = experiment._probability_matrix(thetas, k, experiment.IDEAL_GATE)
-        header.append(f"b_k{k:g}")
-        columns.append(experiment._lg_terms(*probs.T, k, mb_sign)[3])
-        trailer.append(_interval_comment(f"{k:g}", experiment.violation_interval(k, mb_sign=mb_sign)))
-    # zero-strength limit is analytic; the 1/K calibration forbids simulating K=0
-    header.append("b_k0")
-    columns.append(mb_sign * np.cos(thetas) - np.sin(thetas))
+    header = ["theta_deg" if args.degrees else "theta_rad", *(f"b_k{k:g}" for k in k_list), "b_k0"]
+    trailer = [_interval_comment(f"{k:g}", experiment.violation_interval(k, mb_sign=mb_sign)) for k in k_list]
     if mb_sign > 0:
         trailer.append(_interval_comment("0", (1.5 * math.pi, 2.0 * math.pi)))
     else:
         trailer.append(_interval_comment("0", (math.pi, 1.5 * math.pi)))
-
-    row_format = ",".join(["%.9g"] * len(columns))
-    rows = [row_format % row for row in zip(*(col.tolist() for col in columns))]
-    _emit_csv(args.out, _manifest(args), header, rows, trailer, quiet=args.quiet)
+    blocks = _fig3_blocks(k_list, mb_sign, args.theta_steps, args.degrees)
+    _emit_csv((args.out,), (_manifest(args),), header, blocks, args.theta_steps, trailer, quiet=args.quiet)
     return 0
 
 
@@ -267,8 +316,8 @@ def _cmd_gate(args: argparse.Namespace) -> int:
         GATE_REFERENCE_K, experiment.GateModel(kind="ppbs", visibility=args.visibility)
     )
     header = ("visibility", "success_probability", "process_fidelity", "b_max")
-    rows = ["%.9g,%.9g,%.9g,%.9g" % (args.visibility, success, fidelity, b_star)]
-    _emit_csv(args.out, _manifest(args, k=GATE_REFERENCE_K), header, rows, quiet=args.quiet)
+    row = "%.9g,%.9g,%.9g,%.9g\n" % (args.visibility, success, fidelity, b_star)
+    _emit_csv((args.out,), (_manifest(args, k=GATE_REFERENCE_K),), header, [(row,)], 1, quiet=args.quiet)
     return 0
 
 
@@ -283,8 +332,15 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     header = ("trial", "b", "b_sigma", "b_significance", "wv", "wv_sigma")
     b_sig = stats._significances(summary.b, summary.b_sigma, bound=1.0)
     columns = (summary.b, summary.b_sigma, b_sig, summary.wv, summary.wv_sigma)
-    row_format = "%d," + ",".join(["%.9g"] * len(columns))
-    rows = list(map(row_format.__mod__, zip(range(plan.n_trials), *(c.tolist() for c in columns))))
+    row_format = "%d," + ",".join(["%.9g"] * len(columns)) + "\n"
+
+    def blocks() -> Iterator[tuple[str]]:
+        # the ensemble's arrays are whole; only their rows' text is made a block at a time
+        for start in range(0, plan.n_trials, _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            rows = zip(range(start, stop), *(column[start:stop].tolist() for column in columns))
+            yield ("".join(map(row_format.__mod__, rows)),)
+
     trailer = [
         f"# summary true_b={_format_real(summary.true_b)}",
         f"# summary mean_b={_format_real(summary.mean_b)}",
@@ -292,7 +348,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         f"# summary spread={_format_real(summary.spread)}",
         f"# summary coverage={_format_real(summary.coverage)}",
     ]
-    _emit_csv(args.out, _manifest(args), header, rows, trailer, quiet=args.quiet)
+    _emit_csv((args.out,), (_manifest(args),), header, blocks(), plan.n_trials, trailer, quiet=args.quiet)
     return 0
 
 

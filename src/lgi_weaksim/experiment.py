@@ -41,7 +41,9 @@ from .errors import _value_tuple
 MIN_KNOWLEDGE = 1e-9
 # Post-selection probabilities below this raise a degenerate-conditioning error.
 MIN_POSTSELECTION = 1e-12
-# Sweeps hold every row in memory at once, so the grid size is bounded.
+# theta_sweep returns each estimator as one array over the whole grid, so
+# the grid size is bounded; the CLI streams its rows in blocks, and holds
+# only the grid's angles whole.
 MAX_THETA_STEPS = 100_000
 
 _TWO_PI = 2.0 * math.pi
@@ -320,9 +322,27 @@ class Estimates(namedtuple("Estimates", "s1 s2 s1s2 b psel wv")):
     post-selecting the signal in D and wv the weak value of S1 itself on
     that branch, NaN if degenerate, so B(+S1) > 1 where wv > 1 and
     B(-S1) > 1 where wv < -1.
+
+    Equality holds NaN equal to NaN, so that two sweeps with degenerate
+    rows compare equal. The hash is the tuple's: results of floats, from
+    lg_b, stay hashable and equal to their plain tuple, but two that hold
+    NaN compare equal while their hashes may differ, since a NaN float
+    hashes by its identity; results holding arrays have no hash.
     """
 
     __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        import numpy as np
+
+        if not isinstance(other, Estimates):
+            return NotImplemented
+        return all(np.array_equal(mine, theirs, equal_nan=True) for mine, theirs in zip(self, other))
+
+    def __ne__(self, other: object) -> bool:  # tuple's own would compare the arrays elementwise
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 def _lg_terms(p_dd, p_da, p_ad, p_aa, knowledge: float, mb_sign: int = +1) -> tuple:

@@ -300,3 +300,33 @@ def test_trial_summary_is_a_named_tuple_with_nan_aware_equality():
     for clone in (pickle.loads(pickle.dumps(first)), copy.copy(first), copy.deepcopy(first)):
         assert type(clone) is stats.TrialSummary and clone == first
     assert repr(first).startswith("TrialSummary(true_b=") and "b=array([" in repr(first)
+
+
+def test_sweep_estimates_compare_with_nan_aware_equality():
+    # a grid through 3 pi / 2 at K = 1e-9 has a row whose post-selection is degenerate: wv = nan there
+    grid = experiment.ThetaGrid(3.0 * math.pi / 2.0, 3.0 * math.pi / 2.0 + 1.0, 3)
+    first, second = (experiment.theta_sweep(1e-9, grid=grid) for _ in range(2))
+    assert np.isnan(first.wv[0]) and not np.isnan(first.wv[1:]).any()
+    assert first == second and not first != second
+    other = experiment.theta_sweep(2e-9, grid=grid)
+    assert first != other and not first == other
+    assert first != first._replace(wv=np.where(np.isnan(first.wv), 0.0, first.wv))
+    assert experiment.theta_sweep(0.5) == experiment.theta_sweep(0.5)
+    assert experiment.theta_sweep(0.5, mb_sign=-1) != experiment.theta_sweep(0.5)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(first)
+
+
+def test_scalar_estimates_stay_hashable_and_equal_to_their_tuple():
+    config = experiment.ExperimentConfig(theta=7.0 * math.pi / 4.0, knowledge=0.5445)
+    record = experiment.lg_b(config)
+    plain = tuple(record)
+    assert record == plain and plain == record and not record != plain
+    assert hash(record) == hash(plain) == hash(experiment.lg_b(config))
+    assert {record: 1}[plain] == 1
+    assert record != experiment.lg_b(config._replace(theta=1.0))
+    # a degenerate post-selection: wv is nan, and two such records compare equal
+    degenerate = experiment.ExperimentConfig(theta=3.0 * math.pi / 2.0, knowledge=1e-9)
+    first, second = experiment.lg_b(degenerate), experiment.lg_b(degenerate)
+    assert math.isnan(first.wv) and first == second and not first != second
+    assert hash(first) == hash(tuple(first))
