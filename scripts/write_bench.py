@@ -11,7 +11,11 @@ The file holds five things:
   one warm-up call, for each layer of the simulator and each CLI
   subcommand at its default and at a scaled size. Solver entries are per
   call, averaged over K = 0.5445 and 0.1598 and both Mb signs; ppbs entries
-  use visibility 0.9.
+  use visibility 0.9. The ``log_uniform_k`` interval entries average over
+  the 12 strengths ``10**linspace(-9, 0, 12)`` and both signs instead, as
+  the benchmark's ``fig3`` draws its strengths log-uniformly: at the
+  smallest strengths a search's predicted bisection paths can miss, and it
+  then makes more engine calls than the 4 it makes at the paper's two.
 - ``startup_ms``: median milliseconds of ``python -m lgi_weaksim`` in a
   fresh interpreter, over 21 runs, for ``gate``, ``--version``, a usage
   error and, as the control that loads numpy, ``sweep``; and, as
@@ -71,6 +75,7 @@ import reproduce_datasets  # noqa: E402
 from lgi_weaksim import cli, experiment, optics, stats  # noqa: E402
 
 STRENGTHS = (0.5445, 0.1598)
+LOG_UNIFORM_STRENGTHS = tuple((10.0 ** np.linspace(-9.0, 0.0, 12)).tolist())
 VISIBILITY = 0.9
 SCALED_STEPS = "4096"
 REPEATS = 101
@@ -80,9 +85,9 @@ PEAK_RSS_LAUNCHER = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:
 PERFBENCH_SECONDS = 30.0    # the benchmark's run length per workload
 
 
-def per_setting(solver, gate):
-    """One call of solver at each benchmark strength and Mb sign; timed per call."""
-    settings = [(knowledge, mb_sign) for knowledge in STRENGTHS for mb_sign in (+1, -1)]
+def per_setting(solver, gate, strengths=STRENGTHS):
+    """One call of solver at each of the strengths and Mb signs; timed per call."""
+    settings = [(knowledge, mb_sign) for knowledge in strengths for mb_sign in (+1, -1)]
 
     def call():
         for knowledge, mb_sign in settings:
@@ -108,6 +113,10 @@ def layer_calls() -> dict:
         "experiment.b_max.ppbs": per_setting(experiment.b_max, ppbs),
         "experiment.violation_interval.ideal": per_setting(experiment.violation_interval, ideal),
         "experiment.violation_interval.ppbs": per_setting(experiment.violation_interval, ppbs),
+        "experiment.violation_interval.log_uniform_k.ideal": per_setting(
+            experiment.violation_interval, ideal, LOG_UNIFORM_STRENGTHS),
+        "experiment.violation_interval.log_uniform_k.ppbs": per_setting(
+            experiment.violation_interval, ppbs, LOG_UNIFORM_STRENGTHS),
         "optics.fit_visibility": (lambda: optics.fit_visibility(target, STRENGTHS[0]), 1),
         "stats.run_trials.300x1e5": (lambda: stats.run_trials(plan, config), 1),
         "stats.run_trials.10000x1e5": (lambda: stats.run_trials(scaled_plan, config), 1),

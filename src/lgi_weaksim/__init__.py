@@ -28,7 +28,7 @@ the functions that build arrays import it when they are first called, so
 ``b_max``, ``gate``, ``--help``, ``--version`` and usage errors run without
 it. ``stats`` and ``qcore`` import it on load. No module loads
 ``dataclasses`` or ``typing``: the value classes (``ExperimentConfig``,
-``GateModel``, ``CountTable``, ...) are named tuples that check their fields
+``GateModel``, ``TrialPlan``, ...) are named tuples that check their fields
 on every construction path.
 """
 

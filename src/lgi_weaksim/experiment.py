@@ -96,10 +96,8 @@ class ExperimentConfig(_value_tuple("ExperimentConfig", "theta knowledge mb_sign
     __slots__ = ()
 
     def __new__(cls, theta: float, knowledge: float, mb_sign: int = +1, gate_model: GateModel = IDEAL_GATE):
-        fields = _require_real(theta, "theta"), _require_strength(knowledge), _require_sign(mb_sign), gate_model
-        if not isinstance(gate_model, GateModel):
-            raise ValueError(f"gate_model must be a GateModel, got {gate_model!r}")
-        return super().__new__(cls, *fields)
+        fields = _require_real(theta, "theta"), _require_strength(knowledge), _require_sign(mb_sign)
+        return super().__new__(cls, *fields, _require_instance(gate_model, GateModel, "gate_model"))
 
 
 class ProbabilityTable(_value_tuple("ProbabilityTable", "p_dd p_da p_ad p_aa")):
@@ -162,6 +160,13 @@ def _require_strength(knowledge: float) -> float:
     return _require_real(knowledge, "measurement strength K", MIN_KNOWLEDGE, 1)
 
 
+def _require_instance(value, cls: type, name: str):
+    """value itself; ValueError unless it is a cls, a GateModel or a ThetaGrid, which its plain tuple is not."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
+
+
 def _require_sign(mb_sign: int) -> int:
     """mb_sign as the int +1 or -1; ValueError for anything else, -1.0 included."""
     sign = _require_count(mb_sign, "mb_sign", -1, 1)
@@ -186,18 +191,12 @@ def _arrays() -> SimpleNamespace:
     # np.outer(s, m).ravel() being np.kron(s, m) byte for byte
     proj = np.stack([np.outer(s, m).ravel() for m in (d_ket, a_ket) for s in (d_ket, a_ket)])
     search_angles = np.linspace(0.0, _TWO_PI, _SEARCH_GRID, endpoint=False)
-    # each estimator is a contrast over the outcomes (dd, da, ad, aa)
-    s1_sign = np.array([+1.0, +1.0, -1.0, -1.0])   # meter D minus meter A
-    s2_sign = np.array([+1.0, -1.0, +1.0, -1.0])   # signal D minus signal A
     return SimpleNamespace(
         bras=proj.conj()[:, None, None, :],  # (4, 1, 1, 4): one row vector per outcome
         kets=proj[:, :, None],               # (4, 4, 1): one column vector per outcome
         search_angles=search_angles,         # violation_interval's coarse grid
         search_cos=np.cos(search_angles),
         search_sin=np.sin(search_angles),
-        s1_sign=s1_sign,
-        s2_sign=s2_sign,
-        product_sign=s1_sign * s2_sign,
     )
 
 
@@ -258,12 +257,6 @@ def _probability_matrix(thetas: np.ndarray, knowledge: float, gate_model: GateMo
     rho *= (1.0 / _real_trace(rho))[:, None, None]
     vecs = (rho.reshape(-1, 4) @ arrays.kets).reshape(4, -1, 4, 1)
     return np.clip(np.real(arrays.bras @ vecs).reshape(4, -1).T, 0.0, 1.0)
-
-
-def _contrast(knowledge: float, mb_sign: int) -> np.ndarray:
-    """B as a contrast vector over (dd, da, ad, aa): B = coeff @ p."""
-    arrays = _arrays()
-    return mb_sign * (arrays.s1_sign / knowledge + arrays.product_sign / knowledge) - arrays.s2_sign
 
 
 def _b_ratio(knowledge: float, gate_model: GateModel, mb_sign: int) -> tuple[tuple, tuple]:
@@ -404,24 +397,27 @@ def theta_sweep(
 
     mb_sign selects the correlator convention for b; wv is the S1 weak value
     for either sign. Angles with degenerate post-selection carry wv = NaN.
-    Raises ValueError unless mb_sign is +1 or -1.
+    Raises ValueError unless mb_sign is +1 or -1, gate_model a GateModel
+    and grid a ThetaGrid.
     """
     _require_strength(knowledge)
     mb_sign = _require_sign(mb_sign)
+    _require_instance(gate_model, GateModel, "gate_model")
+    _require_instance(grid, ThetaGrid, "grid")
     return _estimates(*_probability_matrix(grid.values(), knowledge, gate_model).T, knowledge, mb_sign)
 
 
-def _bisect(root: float, a: float, b: float, fa: float, fb: float, xtol: float):
+def _bisect(f, root: float, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
     """Root of f on [a, b], a < b, by bisection, step for step as scipy.optimize.bisect.
 
-    A generator, run by ``_roots``: fa and fb are f(a) and f(b); each round
-    yields the rest of the path as it would run if f changed sign at the
-    predicted ``root`` and is sent f's values at those midpoints; the root
-    is its return value. The midpoint update, the sign test and the
-    stopping rule (with scipy's default relative tolerance 4 eps) are kept
-    exactly, so the endpoints it returns are the ones the interval comments
-    have always printed. Decisions come only from f's values: the next
-    round starts at the first midpoint where f and the prediction disagree.
+    f maps a list of angles to the list of its values, fa = f(a), fb = f(b).
+    Each round predicts the rest of the path as it would run if f changed
+    sign at ``root``, and evaluates it in one call of f. The midpoint
+    update, the sign test and the stopping rule (with scipy's default
+    relative tolerance 4 eps) are kept exactly, so the endpoints it returns
+    are the ones the interval comments have always printed. Decisions come
+    only from f's values: the next round starts at the first midpoint where
+    f and the prediction disagree.
     """
     if fa * fb > 0.0:
         raise RuntimeError(f"bisection bracket [{a!r}, {b!r}] does not enclose a sign change")
@@ -443,8 +439,7 @@ def _bisect(root: float, a: float, b: float, fa: float, fb: float, xtol: float):
                 break
             if keep[-1]:
                 pa = xm
-        values = yield path
-        for xm, fm, predicted in zip(path, values, keep):
+        for xm, fm, predicted in zip(path, f(path), keep):
             # a and dm follow the path as long as the decisions agree, so xm == a + dm / 2
             steps += 1
             dm *= 0.5
@@ -455,21 +450,6 @@ def _bisect(root: float, a: float, b: float, fa: float, fb: float, xtol: float):
             if (fm * fa >= 0.0) != predicted:
                 break
     raise RuntimeError(f"bisection did not converge; last midpoint {xm!r}")
-
-
-def _roots(searches: list, f) -> list[float]:
-    """Run ``_bisect`` generators to their roots, with one call of f per round for every open search's path."""
-    roots, sent = {}, dict.fromkeys(range(len(searches)))
-    while sent:
-        paths = {}
-        for index, values in sent.items():
-            try:
-                paths[index] = searches[index].send(values)
-            except StopIteration as stop:
-                roots[index] = stop.value
-        values = iter(f([xm for path in paths.values() for xm in path]) if paths else [])
-        sent = {index: [next(values) for _ in path] for index, path in paths.items()}
-    return [roots[index] for index in range(len(searches))]
 
 
 def _peak(n: tuple, d: tuple) -> tuple[float, float]:
@@ -493,10 +473,11 @@ def b_max(knowledge: float, gate_model: GateModel = IDEAL_GATE, mb_sign: int = +
     [0, 2 pi) and b_star the peak of the closed form B = n.x / d.x, exact to
     a few eps at every K and found without an engine call; for the ideal
     gate b_star equals sqrt(2 - K^2).
-    Raises ValueError unless mb_sign is +1 or -1.
+    Raises ValueError unless mb_sign is +1 or -1 and gate_model a GateModel.
     """
     knowledge = _require_strength(knowledge)
     mb_sign = _require_sign(mb_sign)
+    _require_instance(gate_model, GateModel, "gate_model")
     return _peak(*_b_ratio(knowledge, gate_model, mb_sign))
 
 
@@ -509,19 +490,20 @@ def violation_interval(
     theta_hi - theta_lo the interval width (theta_hi may exceed 2 pi when
     the arc wraps through zero), or None when no violation exists: when the
     peak B exceeds 1 by no more than max(1e-12, 16 eps/K), its round-off.
-    Endpoints are located by bisection to 1e-10 on the engine's B. Every
-    decision of the search equals the engine's, and the exact closed form
-    B = n.x / d.x makes it wherever the engine's error bound allows: the
-    engine's B is within _DECIDE_MARGIN / K of it, so it decides each grid
-    point farther than that from B = 1 and from the grid's peak, and the
-    engine is run only on the rest. The closed-form crossings of (n - d).x predict
-    each bisection's path, so that a round of both ends' bisections costs
-    one engine call. Raises ValueError unless mb_sign is +1 or -1.
+    Endpoints are located by bisection to 1e-10 on the engine's B, and
+    every decision of the search equals the engine's. The exact closed form
+    B = n.x / d.x decides each grid point farther than the engine's error
+    bound from B = 1 and from the grid's peak; the engine decides the rest,
+    in the call that checks B at the peak. The closed-form crossings of
+    (n - d).x predict each end's bisection path, so that a round of it costs
+    one engine call. Raises ValueError unless mb_sign is +1 or -1 and
+    gate_model a GateModel.
     """
     import numpy as np
 
     knowledge = _require_strength(knowledge)
     mb_sign = _require_sign(mb_sign)
+    _require_instance(gate_model, GateModel, "gate_model")
     arrays = _arrays()
 
     def b_values(angles: np.ndarray) -> np.ndarray:
@@ -529,17 +511,17 @@ def violation_interval(
 
     n, d = _b_ratio(knowledge, gate_model, mb_sign)
     theta_star = _peak(n, d)[0]
-    if b_values(np.array([theta_star]))[0] <= 1.0 + max(1e-12, _PEAK_ROUNDOFF / knowledge):
-        return None
-
-    # the engine's B is within _DECIDE_MARGIN / K of the exact closed form,
-    # so farther than that from B = 1 and from the grid's peak the closed
-    # form gives each grid point the engine's answers to B <= 1 and to the
-    # argmax; the engine decides the rest
+    # the engine's B is within _DECIDE_MARGIN / K of the closed form, so the
+    # closed form decides B <= 1 and the argmax as the engine would farther
+    # than that from 1 and from the grid's peak; the engine decides the rest
+    # with theta_star, as an engine row does not depend on the rest of its batch
     values = _ratio_values(n, d, arrays.search_cos, arrays.search_sin)
     margin = _DECIDE_MARGIN / knowledge
     undecided = np.flatnonzero((np.abs(values - 1.0) <= margin) | (values >= values.max() - 2.0 * margin))
-    values[undecided] = b_values(arrays.search_angles[undecided])
+    checked = b_values(np.concatenate(([theta_star], arrays.search_angles[undecided])))
+    if checked[0] <= 1.0 + max(1e-12, _PEAK_ROUNDOFF / knowledge):
+        return None
+    values[undecided] = checked[1:]
     peak = int(np.argmax(values))
     start = arrays.search_angles[peak]
     # the peak's image nearest the grid peak, for arcs that miss the grid
@@ -583,10 +565,10 @@ def violation_interval(
         if f_inside < 0.0 or (step == 1 and f_inside == 0.0 and f_star > 0.0):
             inside, f_inside = theta_star, f_star
         (lo, f_lo), (hi, f_hi) = sorted(((float(inside), f_inside), (float(outside), f_outside)))
-        return (yield from _bisect(predicted_root(lo, hi), lo, hi, f_lo, f_hi, _REFINE_XTOL))
+        return _bisect(excess, predicted_root(lo, hi), lo, hi, f_lo, f_hi, _REFINE_XTOL)
 
-    theta_lo, theta_hi = _roots([crossing(step_lo, outside_lo, inside_lo, f_outside_lo, f_inside_lo),
-                                 crossing(step_hi, outside_hi, inside_hi, f_outside_hi, f_inside_hi)], excess)
+    theta_lo = crossing(step_lo, outside_lo, inside_lo, f_outside_lo, f_inside_lo)
+    theta_hi = crossing(step_hi, outside_hi, inside_hi, f_outside_hi, f_inside_hi)
     width = theta_hi - theta_lo
     theta_lo %= _TWO_PI
     return theta_lo, theta_lo + width

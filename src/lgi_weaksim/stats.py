@@ -26,29 +26,18 @@ MAX_PAIRS = 2**53
 MAX_TRIALS = 1_000_000
 
 
-class CountTable(_value_tuple("CountTable", "n_dd n_da n_ad n_aa")):
-    """Observed coincidence counts in the (meter, signal) D/A outcome order.
-
-    A validated named tuple, like every value class here: it unpacks,
-    indexes and equals the tuple of its fields, refuses attribute assignment
-    and checks ``_replace``. ValueError unless each is a nonnegative integer
-    and the total lies in [1, 2**53].
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, n_dd: int, n_da: int, n_ad: int, n_aa: int):
-        self = super().__new__(cls, *(_require_count(value, name) for value, name in
-                                      zip((n_dd, n_da, n_ad, n_aa), cls._fields)))
-        _require_count(self.total, "total count", 1, MAX_PAIRS)
-        return self
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=float)
-
-    @property
-    def total(self) -> int:
-        return self.n_dd + self.n_da + self.n_ad + self.n_aa
+def _require_counts(counts) -> tuple[int, int, int, int]:
+    """Coincidence counts (n_dd, n_da, n_ad, n_aa), first index the meter, as four ints;
+    ValueError unless they are four nonnegative integers whose total lies in [1, 2**53]."""
+    try:
+        cells = tuple(counts)
+    except TypeError:    # not iterable: a bare int, None
+        cells = ()
+    if len(cells) != 4:
+        raise ValueError(f"counts must be four integers (n_dd, n_da, n_ad, n_aa), got {counts!r}")
+    cells = tuple(_require_count(value, name) for value, name in zip(cells, ("n_dd", "n_da", "n_ad", "n_aa")))
+    _require_count(sum(cells), "total count", 1, MAX_PAIRS)
+    return cells
 
 
 class EstimateWithError(_value_tuple("EstimateWithError", "value sigma")):
@@ -104,16 +93,15 @@ def sample_counts(
     table: experiment.ProbabilityTable,
     n_pairs: int,
     rng: np.random.Generator | int | None = None,
-) -> CountTable:
-    """Draw one multinomial count table of n_pairs events.
+) -> tuple[int, int, int, int]:
+    """Draw one multinomial count table of n_pairs events, as (n_dd, n_da, n_ad, n_aa) Python ints.
 
     Raises ValueError unless n_pairs is an integer in [1, 2**53].
     """
     n_pairs = _require_pairs(n_pairs)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    draw = rng.multinomial(n_pairs, table.as_array())
-    return CountTable(*(int(c) for c in draw))
+    return tuple(rng.multinomial(n_pairs, table.as_array()).tolist())
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -209,24 +197,21 @@ def _sample_trials(table: experiment.ProbabilityTable, plan: TrialPlan) -> np.nd
     return _draw_counts(_seed_states(plan.master_seed, indices), plan.n_pairs, table.as_array())
 
 
-def _poisson_variances(counts: np.ndarray) -> np.ndarray:
-    return np.maximum(counts, 1.0)
-
-
 def _lg_arrays(counts: np.ndarray, knowledge: float, mb_sign: int) -> tuple[np.ndarray, np.ndarray]:
     """B and its delta-method sigma for each row of an (n, 4) count matrix.
 
-    The estimator is linear in the count fractions, so the delta method is
-    exact up to the 1/N normalization: dB/dn_i = (c_i - B)/N with c_i the
-    per-outcome coefficient. Both 4-term sums are stacked matmuls, which
-    make one BLAS dot call per row; gemv, einsum or a written-out sum add in
-    another order and move the last bit of some rows.
+    B = c @ n / N with c = Mb (2, 0, -2, 0) / K - (1, -1, 1, -1), linear in
+    the count fractions, so the delta method is exact up to the 1/N
+    normalization: dB/dn_i = (c_i - B)/N. Both 4-term sums are stacked
+    matmuls, which make one BLAS dot call per row; gemv, einsum or a
+    written-out sum add in another order and move the last bit of some rows.
     """
-    coeff = experiment._contrast(knowledge, mb_sign)
+    two = 2.0 * mb_sign / knowledge
+    coeff = np.array([two - 1.0, 1.0, -two - 1.0, 1.0])
     total = counts.sum(axis=1)
     value = (counts[:, None, :] @ coeff[:, None])[:, 0, 0] / total
     gradient = (coeff - value[:, None]) / total[:, None]
-    variance = ((gradient**2)[:, None, :] @ _poisson_variances(counts)[:, :, None])[:, 0, 0]
+    variance = ((gradient**2)[:, None, :] @ np.maximum(counts, 1.0)[:, :, None])[:, 0, 0]
     return value, np.sqrt(variance)
 
 
@@ -258,23 +243,25 @@ def _significances(values, sigmas, bound: float):
         return np.where(sigmas > 0.0, (values - bound) / sigmas, np.nan)
 
 
-def estimate_lg(counts: CountTable, knowledge: float, mb_sign: int = +1) -> EstimateWithError:
-    """Correlator estimate B = mb*s1 + mb*s1s2 - s2 from raw counts."""
+def estimate_lg(counts, knowledge: float, mb_sign: int = +1) -> EstimateWithError:
+    """Correlator estimate B = mb*s1 + mb*s1s2 - s2 from raw counts (n_dd, n_da, n_ad, n_aa)."""
+    counts = _require_counts(counts)
     experiment._require_strength(knowledge)
     mb_sign = experiment._require_sign(mb_sign)
-    value, sigma = _lg_arrays(counts.as_array()[None], knowledge, mb_sign)
+    value, sigma = _lg_arrays(np.array([counts], dtype=float), knowledge, mb_sign)
     return EstimateWithError(value=float(value[0]), sigma=float(sigma[0]))
 
 
-def estimate_weak_value(counts: CountTable, knowledge: float, mb_sign: int = +1) -> EstimateWithError:
-    """Weak-value estimate from the signal-D post-selected meter counts."""
+def estimate_weak_value(counts, knowledge: float, mb_sign: int = +1) -> EstimateWithError:
+    """Weak-value estimate from the signal-D post-selected meter counts, n_dd and n_ad."""
+    counts = _require_counts(counts)
     experiment._require_strength(knowledge)
     mb_sign = experiment._require_sign(mb_sign)
-    if counts.n_dd + counts.n_ad == 0:
+    if counts[0] + counts[2] == 0:
         raise InsufficientPostselectionError(
             "no events survived the signal-D post-selection; weak value is undefined"
         )
-    value, sigma = _weak_value_arrays(counts.as_array()[None], knowledge, mb_sign)
+    value, sigma = _weak_value_arrays(np.array([counts], dtype=float), knowledge, mb_sign)
     return EstimateWithError(value=float(value[0]), sigma=float(sigma[0]))
 
 

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import os
 
 import numpy as np
 import pytest
@@ -380,11 +382,30 @@ def test_experiment_config_holds_a_numpy_or_integer_strength_as_a_float(knowledg
     assert type(config.knowledge) is float and config.knowledge == float(knowledge)
 
 
-@pytest.mark.parametrize("gate_model", ["ppbs", None, 0.9])
+@pytest.mark.parametrize("gate_model", ["ppbs", None, 0.9, ("ppbs", 0.5)])
 def test_experiment_config_rejects_a_gate_model_that_is_not_a_gate_model(gate_model):
     # fails at construction, not later in run with an AttributeError
     with pytest.raises(ValueError, match="gate_model must be a GateModel"):
         config_for(1.0, K_STRONG, gate_model=gate_model)
+
+
+@pytest.mark.parametrize("gate_model", ["ppbs", None, ("ppbs", 0.5)], ids=["str", "none", "plain_tuple"])
+@pytest.mark.parametrize("entry_point", [
+    lambda gate: experiment.b_max(K_STRONG, gate),
+    lambda gate: experiment.violation_interval(K_STRONG, gate),
+    lambda gate: experiment.theta_sweep(K_STRONG, gate_model=gate),
+], ids=["b_max", "violation_interval", "theta_sweep"])
+def test_solvers_and_sweeps_reject_a_gate_model_that_is_not_a_gate_model(entry_point, gate_model):
+    # as ExperimentConfig does; these used to raise AttributeError on gate_model.kind
+    with pytest.raises(ValueError, match="gate_model must be a GateModel"):
+        entry_point(gate_model)
+
+
+@pytest.mark.parametrize("grid", [(0.0, 1.0, 5), None, "0 1 5"], ids=["plain_tuple", "none", "str"])
+def test_theta_sweep_rejects_a_grid_that_is_not_a_theta_grid(grid):
+    # a plain tuple used to raise AttributeError on grid.values
+    with pytest.raises(ValueError, match="grid must be a ThetaGrid"):
+        experiment.theta_sweep(K_STRONG, grid=grid)
 
 
 @pytest.mark.parametrize("mb_sign", [0, 2, -3, -1.0, 1.0])
@@ -393,8 +414,8 @@ def test_experiment_config_rejects_a_gate_model_that_is_not_a_gate_model(gate_mo
     lambda sign: experiment.violation_interval(K_STRONG, mb_sign=sign),
     lambda sign: experiment.theta_sweep(K_STRONG, mb_sign=sign),
     lambda sign: config_for(0.1, K_STRONG, mb_sign=sign),
-    lambda sign: stats.estimate_lg(stats.CountTable(10, 10, 10, 10), K_STRONG, sign),
-    lambda sign: stats.estimate_weak_value(stats.CountTable(10, 10, 10, 10), K_STRONG, sign),
+    lambda sign: stats.estimate_lg((10, 10, 10, 10), K_STRONG, sign),
+    lambda sign: stats.estimate_weak_value((10, 10, 10, 10), K_STRONG, sign),
 ], ids=["b_max", "violation_interval", "theta_sweep", "ExperimentConfig", "estimate_lg", "estimate_weak_value"])
 def test_every_entry_point_rejects_an_mb_sign_other_than_plus_or_minus_one(entry_point, mb_sign):
     with pytest.raises(ValueError, match="mb_sign"):
@@ -617,10 +638,8 @@ def test_violation_interval_endpoints_match_the_oracles(log_k, xi, kind, mb_sign
         assert excess(edge + into_arc * inward) >= -tol, (edge, "inside")
 
 
-@pytest.mark.parametrize("gate", [experiment.IDEAL_GATE, experiment.GateModel(kind="ppbs", visibility=0.7077)])
-@pytest.mark.parametrize("knowledge", [K_STRONG, K_WEAK])
-@pytest.mark.parametrize("mb_sign", [+1, -1])
-def test_violation_interval_engine_calls(monkeypatch, gate, knowledge, mb_sign):
+def engine_batch_sizes(monkeypatch) -> list:
+    """A list that gets the number of angles of every engine call from here on."""
     sizes = []
     engine = experiment._probability_matrix
 
@@ -629,13 +648,57 @@ def test_violation_interval_engine_calls(monkeypatch, gate, knowledge, mb_sign):
         return engine(thetas, *args)
 
     monkeypatch.setattr(experiment, "_probability_matrix", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("gate", [experiment.IDEAL_GATE, experiment.GateModel(kind="ppbs", visibility=0.7077)])
+@pytest.mark.parametrize("knowledge", [K_STRONG, K_WEAK])
+@pytest.mark.parametrize("mb_sign", [+1, -1])
+def test_violation_interval_engine_calls(monkeypatch, gate, knowledge, mb_sign):
+    sizes = engine_batch_sizes(monkeypatch)
     assert experiment.violation_interval(knowledge, gate, mb_sign) is not None
-    # the peak angle; the grid points the closed form leaves undecided, here
-    # the one or two at the grid's peak; both walks' end points and the peak
-    # angle, in exactly one call; both walks' predicted bisection paths in
-    # one call, each from one grid cell down to 1e-10 in 26 halvings
+    # the peak angle with the grid points the closed form leaves undecided,
+    # here the one or two at the grid's peak; both walks' end points and the
+    # peak angle, in exactly one call; then each end's predicted bisection
+    # path in one call, from one grid cell down to 1e-10 in 26 halvings
     grid = 1 if (gate.kind, mb_sign) == ("ppbs", -1) else 2
-    assert sizes == [1, grid, 5, 52]
+    assert sizes == [grid + 1, 5, 26, 26]
+
+
+def openblas_core():
+    """The OpenBLAS kernel's name, as scripts/write_bench.py reads it."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "write_bench.py")
+    spec = importlib.util.spec_from_file_location("write_bench", path)
+    write_bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(write_bench)
+    return write_bench.openblas_core()
+
+
+# the angles each search below evaluated when both ends' bisections shared
+# every engine call, per OpenBLAS kernel: at K = 1e-9 the engine's round-off
+# in B, which the kernel sets, steers the bisections (Prescott reports Katmai)
+SMALLEST_STRENGTH_ANGLES = {
+    "SkylakeX": (119, 97, 133, 122),
+    "Haswell": (119, 97, 133, 122),
+    "Katmai": (125, 97, 117, 138),
+}
+
+
+@pytest.mark.parametrize("case, gate, mb_sign", [
+    (0, experiment.IDEAL_GATE, +1),
+    (1, experiment.IDEAL_GATE, -1),
+    (2, experiment.GateModel(kind="ppbs", visibility=0.9), +1),
+    (3, experiment.GateModel(kind="ppbs", visibility=0.9), -1),
+], ids=["ideal_plus", "ideal_minus", "ppbs_plus", "ppbs_minus"])
+def test_violation_interval_angles_at_the_smallest_strength(monkeypatch, case, gate, mb_sign):
+    # at K = 1e-9 the predicted paths miss and the bisections take several
+    # rounds; running the two ends one after the other takes more calls, but
+    # each end evaluates the same angles as when both shared each call
+    core = openblas_core()
+    assert core in SMALLEST_STRENGTH_ANGLES, f"no angle counts recorded under the {core} kernel"
+    sizes = engine_batch_sizes(monkeypatch)
+    assert experiment.violation_interval(experiment.MIN_KNOWLEDGE, gate, mb_sign) is not None
+    assert sum(sizes) == SMALLEST_STRENGTH_ANGLES[core][case]
 
 
 def oracle_crossing(f, inside, outside):

@@ -34,20 +34,44 @@ def config_for(theta, knowledge, **kwargs):
 def plugin_counts(theta, knowledge, n_pairs=10**8):
     # counts proportional to the exact table, up to integer rounding
     table = experiment.run(config_for(theta, knowledge))
-    return stats.CountTable(*(round(p * n_pairs) for p in table.as_array()))
+    return tuple(round(p * n_pairs) for p in table.as_array())
 
 
-def test_count_table_total_and_array():
-    table = stats.CountTable(3, 5, 7, 11)
-    assert table.total == 26
-    np.testing.assert_array_equal(table.as_array(), [3.0, 5.0, 7.0, 11.0])
+COUNT_ESTIMATORS = pytest.mark.parametrize(
+    "estimator", [stats.estimate_lg, stats.estimate_weak_value], ids=["estimate_lg", "estimate_weak_value"])
 
 
-def test_count_table_validation():
-    with pytest.raises(ValueError):
-        stats.CountTable(-1, 2, 3, 4)
-    with pytest.raises(ValueError):
-        stats.CountTable(0, 0, 0, 0)
+@COUNT_ESTIMATORS
+@pytest.mark.parametrize("counts, message", [
+    ((-1, 2, 3, 4), r"n_dd must be an integer in \[0, inf\], got -1$"),
+    ((1, 2.5, 1, 1), r"n_da must be an integer in \[0, inf\], got 2\.5$"),
+    ((1, 1, math.nan, 1), r"n_ad must be an integer in \[0, inf\], got nan$"),
+    ((1, 1, 1, "1"), r"n_aa must be an integer in \[0, inf\], got '1'$"),
+    ((10**400, 1, 1, 1), r"total count must be an integer in \[1, 9007199254740992\]"),
+    ((0, 0, 0, 0), r"total count must be an integer in \[1, 9007199254740992\], got 0$"),
+    ((2**53, 0, 1, 0), r"total count must be an integer in \[1, 9007199254740992\], got 9007199254740993$"),
+    ((1, 1, 1), r"counts must be four integers .*, got \(1, 1, 1\)$"),
+    ([1, 1, 1, 1, 1], r"counts must be four integers .*, got \[1, 1, 1, 1, 1\]$"),
+    (40, r"counts must be four integers .*, got 40$"),
+    (None, r"counts must be four integers .*, got None$"),
+    (np.array(40), r"counts must be four integers"),
+], ids=["negative", "half", "nan", "str", "huge_int", "total_zero", "total_above_2**53", "three", "five",
+        "bare_int", "none", "zero_dim_array"])
+def test_estimators_reject_anything_but_four_integer_counts(estimator, counts, message):
+    # the checks and messages of the count table these functions once took;
+    # never a TypeError, whatever the counts are
+    with pytest.raises(ValueError, match=message):
+        estimator(counts, K_STRONG)
+
+
+@COUNT_ESTIMATORS
+def test_estimators_take_any_four_counts(estimator):
+    expected = estimator((3, 5, 7, 11), K_STRONG)
+    assert estimator([3, 5, 7, 11], K_STRONG) == expected
+    assert estimator(np.array([3, 5, 7, 11]), K_STRONG) == expected
+    assert estimator(iter((3, 5, 7, 11)), K_STRONG) == expected
+    # the largest total float64 holds exactly is accepted
+    assert math.isfinite(estimator((2**53 - 1, 0, 1, 0), K_STRONG).value)
 
 
 @pytest.mark.parametrize("cells", [
@@ -113,7 +137,7 @@ COUNT_PARAMETERS = {
     "n_pairs": lambda n: stats.TrialPlan(n_pairs=n, n_trials=3),
     "master_seed": lambda n: stats.TrialPlan(n_pairs=1000, n_trials=3, master_seed=n),
     "grid_steps": lambda n: experiment.ThetaGrid(0.0, 1.0, n),
-    "n_da": lambda n: stats.CountTable(1, n, 1, 1),
+    "n_da": lambda n: stats.estimate_lg((1, n, 1, 1), K_STRONG),
 }
 NOT_INTEGERS = {"1": "str", None: "none", 1j: "complex", math.nan: "nan", math.inf: "inf", -math.inf: "minus_inf"}
 
@@ -128,13 +152,13 @@ NOT_INTEGERS = {"1": "str", None: "none", 1j: "complex", math.nan: "nan", math.i
     # np.linspace would raise TypeError
     lambda: experiment.theta_sweep(0.5, grid=experiment.ThetaGrid(0.0, 1.0, 3.0)),
     # NaN passes every range comparison
-    lambda: stats.CountTable(math.nan, 1, 1, 1),
-    lambda: stats.CountTable(2.5, 1, 1, 1),
+    lambda: stats.estimate_lg((math.nan, 1, 1, 1), K_STRONG),
+    lambda: stats.estimate_weak_value((2.5, 1, 1, 1), K_STRONG),
 ] + [functools.partial(build, value) for build in COUNT_PARAMETERS.values() for value in NOT_INTEGERS] + [
     # integers, but beyond what float64 counts hold exactly
     lambda: stats.TrialPlan(n_pairs=10**400, n_trials=3),
     lambda: stats.TrialPlan(n_pairs=1000, n_trials=10**400),
-    lambda: stats.CountTable(10**400, 1, 1, 1),
+    lambda: stats.estimate_lg((10**400, 1, 1, 1), K_STRONG),
     # one past stats.MAX_TRIALS, written out so that a looser bound fails here:
     # run_trials would fill a count matrix of 32 bytes per trial
     lambda: stats.TrialPlan(n_pairs=1000, n_trials=1_000_001),
@@ -152,15 +176,19 @@ def test_numpy_integer_counts_are_accepted_as_ints():
     assert type(plan.master_seed) is int
     grid = experiment.ThetaGrid(0.0, 1.0, np.int32(3))
     assert type(grid.steps) is int and len(experiment.theta_sweep(0.5, grid=grid).b) == 3
-    table = stats.CountTable(np.int64(3), np.uint8(5), 7, np.int32(11))
-    assert table == stats.CountTable(3, 5, 7, 11)
-    assert all(type(c) is int for c in (table.n_dd, table.n_da, table.n_ad, table.n_aa))
+    counts = stats._require_counts((np.int64(3), np.uint8(5), 7, np.int32(11)))
+    assert counts == (3, 5, 7, 11) and all(type(c) is int for c in counts)
+    # held as ints, uint8 counts add without wrapping round
+    numpy_counts = (np.uint8(200), np.uint8(200), np.uint8(0), np.uint8(0))
+    for estimator in (stats.estimate_lg, stats.estimate_weak_value):
+        assert estimator(numpy_counts, K_STRONG) == estimator((200, 200, 0, 0), K_STRONG)
 
 
 def test_sample_counts_degenerate_table_lands_in_one_cell():
     table = experiment.ProbabilityTable(1.0, 0.0, 0.0, 0.0)
     counts = stats.sample_counts(table, 500, rng=0)
-    assert (counts.n_dd, counts.n_da, counts.n_ad, counts.n_aa) == (500, 0, 0, 0)
+    assert counts == (500, 0, 0, 0) and type(counts) is tuple
+    assert all(type(c) is int for c in counts)
 
 
 def test_sample_counts_total_and_seed_determinism():
@@ -168,17 +196,17 @@ def test_sample_counts_total_and_seed_determinism():
     first = stats.sample_counts(table, 12_345, rng=42)
     second = stats.sample_counts(table, 12_345, rng=42)
     assert first == second
-    assert first.total == 12_345
+    assert sum(first) == 12_345
     other = stats.sample_counts(table, 12_345, rng=43)
     assert other != first
-    assert other.total == 12_345
+    assert sum(other) == 12_345
 
 
 def test_sample_counts_accepts_generator_and_rejects_zero_pairs():
     table = experiment.ProbabilityTable(0.25, 0.25, 0.25, 0.25)
     rng = np.random.default_rng(7)
     counts = stats.sample_counts(table, 100, rng=rng)
-    assert counts.total == 100
+    assert sum(counts) == 100
     with pytest.raises(ValueError):
         stats.sample_counts(table, 0)
 
@@ -198,7 +226,7 @@ def test_sample_counts_uniform_cells_within_five_sigma():
     n_pairs = 4_000_000
     counts = stats.sample_counts(table, n_pairs, rng=2024)
     sigma = math.sqrt(n_pairs * 0.25 * 0.75)
-    for cell in counts.as_array():
+    for cell in counts:
         assert abs(cell - n_pairs / 4) < 5.0 * sigma
 
 
@@ -211,7 +239,7 @@ def test_estimate_lg_recovers_closed_form_from_plugin_counts():
 
 def test_estimate_lg_concentrated_counts():
     # every event in the (D, D) cell pushes both s1 and s1s2 to 1/k
-    counts = stats.CountTable(5000, 0, 0, 0)
+    counts = (5000, 0, 0, 0)
     estimate = stats.estimate_lg(counts, K_STRONG)
     assert estimate.value == pytest.approx(2.0 / K_STRONG - 1.0, abs=1e-12)
     assert math.isfinite(estimate.sigma) and estimate.sigma > 0.0
@@ -221,15 +249,15 @@ def test_estimate_lg_concentrated_counts():
 @settings(deadline=None)
 def test_estimate_lg_matches_count_oracle(n_dd, n_da, n_ad, n_aa, knowledge, mb_sign):
     assume(n_dd + n_da + n_ad + n_aa > 0)
-    counts = stats.CountTable(n_dd, n_da, n_ad, n_aa)
+    counts = (n_dd, n_da, n_ad, n_aa)
     estimate = stats.estimate_lg(counts, knowledge, mb_sign)
-    expected = oracles.b_from_count_vector(counts.as_array(), knowledge, mb_sign)
+    expected = oracles.b_from_count_vector(np.array(counts, dtype=float), knowledge, mb_sign)
     assert estimate.value == pytest.approx(expected, abs=1e-9, rel=1e-9)
 
 
 def test_estimate_lg_sigma_matches_numerical_propagation():
     vec = (321, 98, 145, 67)
-    counts = stats.CountTable(*vec)
+    counts = vec
     for mb_sign in (+1, -1):
         estimate = stats.estimate_lg(counts, K_STRONG, mb_sign)
         expected = oracles.finite_difference_sigma(
@@ -239,7 +267,7 @@ def test_estimate_lg_sigma_matches_numerical_propagation():
 
 
 def test_estimate_lg_validation():
-    counts = stats.CountTable(10, 10, 10, 10)
+    counts = (10, 10, 10, 10)
     with pytest.raises(ZeroStrengthError):
         stats.estimate_lg(counts, 0.0)
     with pytest.raises(ValueError):
@@ -249,8 +277,8 @@ def test_estimate_lg_validation():
 @pytest.mark.parametrize("knowledge", [math.nan, math.inf, 2.0, 1.0 + 1e-15, 10**400])
 @pytest.mark.parametrize("estimator", [
     lambda k: config_for(1.0, k),
-    lambda k: stats.estimate_lg(stats.CountTable(5, 3, 2, 1), k),
-    lambda k: stats.estimate_weak_value(stats.CountTable(5, 3, 2, 1), k),
+    lambda k: stats.estimate_lg((5, 3, 2, 1), k),
+    lambda k: stats.estimate_weak_value((5, 3, 2, 1), k),
 ], ids=["ExperimentConfig", "estimate_lg", "estimate_weak_value"])
 def test_strength_outside_the_domain_is_rejected(estimator, knowledge):
     # outside [1e-9, 1] the 1/K calibration describes no meter, yet each of
@@ -262,19 +290,19 @@ def test_strength_outside_the_domain_is_rejected(estimator, knowledge):
 
 
 def test_estimate_weak_value_balanced_counts_is_zero():
-    counts = stats.CountTable(250, 40, 250, 60)
+    counts = (250, 40, 250, 60)
     assert stats.estimate_weak_value(counts, K_STRONG).value == 0.0
 
 
 def test_estimate_weak_value_frozen_example():
-    counts = stats.CountTable(600, 100, 200, 100)
+    counts = (600, 100, 200, 100)
     estimate = stats.estimate_weak_value(counts, 0.5)
     assert estimate.value == pytest.approx(1.0, abs=1e-15)
     assert estimate.sigma == pytest.approx(WV_SIGMA_FROZEN, abs=1e-15)
 
 
 def test_estimate_weak_value_sign_convention():
-    counts = stats.CountTable(600, 100, 200, 100)
+    counts = (600, 100, 200, 100)
     plus = stats.estimate_weak_value(counts, 0.5, mb_sign=+1)
     minus = stats.estimate_weak_value(counts, 0.5, mb_sign=-1)
     assert minus.value == -plus.value
@@ -290,7 +318,7 @@ def test_estimate_weak_value_strange_amplification_from_plugin_counts():
 
 def test_estimate_weak_value_sigma_matches_numerical_propagation():
     vec = (321, 98, 145, 67)
-    estimate = stats.estimate_weak_value(stats.CountTable(*vec), K_STRONG)
+    estimate = stats.estimate_weak_value(vec, K_STRONG)
     expected = oracles.finite_difference_sigma(
         lambda n: oracles.wv_from_count_vector(n, K_STRONG), vec
     )
@@ -340,14 +368,14 @@ def test_paper_bands_match_the_exact_variance_at_the_peak():
 
 def test_estimate_weak_value_sigma_grows_as_postselection_shrinks():
     # same totals and same 3:1 conditional split, smaller retained fraction
-    wide = stats.estimate_weak_value(stats.CountTable(300, 400, 100, 200), K_STRONG)
-    narrow = stats.estimate_weak_value(stats.CountTable(30, 670, 10, 290), K_STRONG)
+    wide = stats.estimate_weak_value((300, 400, 100, 200), K_STRONG)
+    narrow = stats.estimate_weak_value((30, 670, 10, 290), K_STRONG)
     assert narrow.sigma > wide.sigma
 
 
 def test_estimate_weak_value_empty_postselection_raises():
     with pytest.raises(InsufficientPostselectionError):
-        stats.estimate_weak_value(stats.CountTable(0, 5, 0, 7), K_STRONG)
+        stats.estimate_weak_value((0, 5, 0, 7), K_STRONG)
 
 
 def test_significance_frozen_examples():

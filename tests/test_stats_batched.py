@@ -24,9 +24,9 @@ def bits(*values):
 
 
 def reference_estimate_lg(counts, knowledge, mb_sign, correlator_norm):
-    """The scalar body `stats.estimate_lg` had before the estimators took arrays."""
-    n = counts.as_array()
-    total = counts.total
+    """The scalar body `stats.estimate_lg` had before the estimators took arrays, on counts (n_dd, n_da, n_ad, n_aa)."""
+    n = np.array(counts, dtype=float)
+    total = sum(counts)
     product_scale = knowledge if correlator_norm == "k" else 1.0
     coeff = mb_sign * (_S1_SIGN / knowledge + _PRODUCT_SIGN / product_scale) - _S2_SIGN
     value = float(coeff @ n) / total
@@ -37,14 +37,15 @@ def reference_estimate_lg(counts, knowledge, mb_sign, correlator_norm):
 
 def reference_estimate_weak_value(counts, knowledge, mb_sign):
     """The scalar body `stats.estimate_weak_value` had; None for an empty branch."""
-    retained = counts.n_dd + counts.n_ad
+    n_dd, _, n_ad, _ = counts
+    retained = n_dd + n_ad
     if retained == 0:
         return None
-    value = mb_sign * (counts.n_dd - counts.n_ad) / (knowledge * retained)
+    value = mb_sign * (n_dd - n_ad) / (knowledge * retained)
     scale = knowledge * retained**2
-    variance = (2.0 * counts.n_ad / scale) ** 2 * max(counts.n_dd, 1) + (
-        2.0 * counts.n_dd / scale
-    ) ** 2 * max(counts.n_ad, 1)
+    variance = (2.0 * n_ad / scale) ** 2 * max(n_dd, 1) + (
+        2.0 * n_dd / scale
+    ) ** 2 * max(n_ad, 1)
     return value, math.sqrt(variance)
 
 
@@ -60,7 +61,7 @@ def test_count_matrix_rows_equal_per_trial_draws(master_seed, n_trials):
         for index in range(n_trials):
             rng = np.random.default_rng([master_seed, index])
             counts = stats.sample_counts(table, n_pairs, rng)
-            assert matrix[index].tolist() == [counts.n_dd, counts.n_da, counts.n_ad, counts.n_aa]
+            assert matrix[index].tolist() == list(counts)
 
 
 def test_back_to_back_ensembles_carry_no_row_over():
@@ -113,7 +114,7 @@ def test_array_estimators_equal_frozen_scalar_bodies(rows, knowledge, mb_sign):
     wv, wv_sigma = stats._weak_value_arrays(matrix, knowledge, mb_sign)
     significance = stats._significances(b, b_sigma, 1.0)
     for i, row in enumerate(rows):
-        counts = stats.CountTable(*row)
+        counts = tuple(row)
         value, sigma = reference_estimate_lg(counts, knowledge, mb_sign, "k")
         assert bits(b[i], b_sigma[i]) == bits(value, sigma), row
         single = stats.estimate_lg(counts, knowledge, mb_sign)
@@ -140,7 +141,7 @@ def test_array_estimators_equal_frozen_scalar_bodies_in_bulk():
         b, b_sigma = stats._lg_arrays(matrix, knowledge, mb_sign)
         wv, wv_sigma = stats._weak_value_arrays(matrix, knowledge, mb_sign)
         for i, row in enumerate(matrix.astype(int).tolist()):
-            counts = stats.CountTable(*row)
+            counts = tuple(row)
             assert bits(b[i], b_sigma[i]) == bits(*reference_estimate_lg(counts, knowledge, mb_sign, "k")), row
             weak = reference_estimate_weak_value(counts, knowledge, mb_sign)
             assert weak is None or bits(wv[i], wv_sigma[i]) == bits(*weak), row

@@ -82,19 +82,6 @@ class ThetaGrid:
 
 
 @dataclasses.dataclass(frozen=True)
-class CountTable:
-    n_dd: int
-    n_da: int
-    n_ad: int
-    n_aa: int
-
-    def __post_init__(self) -> None:
-        for name in ("n_dd", "n_da", "n_ad", "n_aa"):
-            object.__setattr__(self, name, _require_count(getattr(self, name), name))
-        _require_count(self.n_dd + self.n_da + self.n_ad + self.n_aa, "total count", 1, stats.MAX_PAIRS)
-
-
-@dataclasses.dataclass(frozen=True)
 class EstimateWithError:
     value: float
     sigma: float
@@ -126,7 +113,6 @@ GATES = [experiment.IDEAL_GATE, experiment.GateModel("ppbs", 0.5)]
 
 
 PROBABILITIES = ("p_dd", "p_da", "p_ad", "p_aa")
-COUNT_CELLS = ("n_dd", "n_da", "n_ad", "n_aa")
 
 
 def normalized(values):
@@ -160,8 +146,6 @@ DOMAINS = {
         "steps": st.one_of(st.integers(-1, experiment.MAX_THETA_STEPS + 1), COUNTS),
     }, st.fixed_dictionaries({
         "start": ANGLES, "stop": ANGLES, "steps": st.integers(2, experiment.MAX_THETA_STEPS)})),
-    "CountTable": (stats.CountTable, CountTable, dict.fromkeys(COUNT_CELLS, COUNTS),
-                   four(st.integers(0, 10**6)).filter(any).map(lambda counts: dict(zip(COUNT_CELLS, counts)))),
     "EstimateWithError": (stats.EstimateWithError, EstimateWithError, {"value": REALS, "sigma": REALS},
                           st.fixed_dictionaries({"value": st.floats(-1e3, 1e3), "sigma": st.floats(0.0, 1e3)})),
     "TrialPlan": (stats.TrialPlan, TrialPlan, {
